@@ -1,15 +1,16 @@
 //! The tracked bench baseline behind `abp bench`.
 //!
-//! Times the two hot kernels the grid-bin spatial index accelerates —
-//! the survey connectivity sweep and the greedy candidate scan — in
-//! both their brute-force and indexed forms, on the same field, and
-//! verifies on every run that the indexed outputs are **bit-identical**
-//! to the brute ones before reporting any timing. A bench that reports
-//! a speedup for a kernel that changed the answer would be worthless;
-//! here `identical: false` in the emitted JSON is a red flag CI fails
-//! on.
+//! Times the hot kernels against their simplest bit-identical
+//! counterparts, on the same field, and verifies on every run that the
+//! outputs are **bit-identical** before reporting any timing: the
+//! production survey sweep against the point-major oracle (under the
+//! ideal disk and under per-beacon noise 0.5), the scratch-reused sweep
+//! against a fresh one, and the incremental greedy candidate scans
+//! against full re-scoring. A bench that reports a speedup for a kernel
+//! that changed the answer would be worthless; here `identical: false`
+//! in the emitted JSON is a red flag CI fails on.
 //!
-//! The survey kernel times the full sweep. The candidate-scan kernels
+//! The survey kernels time the full sweep. The candidate-scan kernels
 //! mirror the greedy deployment loops round for round but time **only
 //! the scan/score phase** (brute: `propose_ranked`; incremental: scorer
 //! construction + `ranked` + `apply_delta`): the per-round deployment
@@ -21,15 +22,14 @@
 //! loops place bit-identically to them.
 //!
 //! The `survey_sweep_scratch` kernel times the steady-state trial
-//! loop's two forms: a fresh [`ErrorMap::survey_indexed`] per sample
-//! (what every trial paid before scratch reuse) against
-//! [`ErrorMap::survey_indexed_with`] threading one [`SurveyScratch`]
-//! across samples (what the Monte-Carlo engine now does). When the
-//! binary is built with `--features count-allocs` the report also
-//! carries the reused path's steady-state allocator traffic — the
-//! `alloc` block's `allocs_per_trial` / `bytes_per_trial`, measured
-//! with [`abp_trace::thread_snapshot`] deltas around the post-warmup
-//! scratch samples only — and the CLI fails the run if it is nonzero.
+//! loop's two forms: a fresh [`ErrorMap::survey`] per sample against
+//! [`ErrorMap::survey_with`] threading one [`SurveyScratch`] across
+//! samples (what the Monte-Carlo engine does). When the binary is built
+//! with `--features count-allocs` the report also carries the reused
+//! path's steady-state allocator traffic — the `alloc` block's
+//! `allocs_per_trial` / `bytes_per_trial`, measured with
+//! [`abp_trace::thread_snapshot`] deltas around the post-warmup scratch
+//! samples only — and the CLI fails the run if it is nonzero.
 //!
 //! Timings are reported as the median over `repeats` interleaved
 //! samples with a distribution-free 95% confidence interval on the
@@ -40,9 +40,9 @@
 //!
 //! With [`BenchConfig::skip_brute`] set (the CLI's `--skip-brute`) the
 //! brute/reference sides are not run at all: each kernel reports its
-//! indexed timing on both sides, `speedup` degenerates to 1, and the
+//! fast timing on both sides, `speedup` degenerates to 1, and the
 //! bit-identity gate is **disabled** — the run is for fast local
-//! iteration on the indexed kernels only, never for tracked baselines.
+//! iteration on the fast kernels only, never for tracked baselines.
 
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
@@ -51,7 +51,7 @@ use abp_placement::{
     greedy_batch, greedy_batch_incremental, pick_unoccupied, GridPlacement, IncrementalGrid,
     IncrementalMax, IncrementalScorer, MaxPlacement, PlacementAlgorithm, SurveyView,
 };
-use abp_radio::{IdealDisk, Propagation};
+use abp_radio::{IdealDisk, PerBeaconNoise, Propagation};
 use abp_stats::Summary;
 use abp_survey::{ErrorMap, SurveyScratch};
 use rand::rngs::StdRng;
@@ -82,7 +82,11 @@ use std::time::Instant;
 /// telemetry-overhead point estimate with `telemetry_overhead`: median
 /// and 95% CI over interleaved on/off load pairs, alternating run
 /// order to cancel drift.
-pub const SCHEMA: &str = "abp-bench-sweep/6";
+/// `/7` times the single production survey sweep against the
+/// point-major oracle under both models (`survey_sweep` with the ideal
+/// disk, the new `survey_sweep_noise` with per-beacon noise 0.5), and
+/// records `host_cores` at the top level.
+pub const SCHEMA: &str = "abp-bench-sweep/7";
 
 /// Scenario and sampling configuration for one bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -266,7 +270,7 @@ pub struct AllocStats {
 pub struct ScalingPoint {
     /// Worker threads the tile scheduler ran with.
     pub threads: usize,
-    /// Timing of the full indexed survey at this thread count.
+    /// Timing of the full survey at this thread count.
     pub timing: Timing,
     /// Parallel efficiency: `t1_median / (threads * tn_median)`.
     /// 1.0 is perfect linear scaling; the single-thread rung is 1.0 by
@@ -278,7 +282,7 @@ pub struct ScalingPoint {
     pub identical: bool,
 }
 
-/// The `scaling` block: the tiled survey sweep across a ladder of
+/// The `scaling` block: the row-band survey sweep across a ladder of
 /// thread counts, sampled round-robin so machine drift biases every
 /// rung equally.
 #[derive(Debug, Clone, PartialEq)]
@@ -343,7 +347,7 @@ pub struct BenchReport {
     /// the request path allocation-free) while the excess is answered
     /// `Overloaded`.
     pub overload: abp_serve::bench::OverloadReport,
-    /// The tiled survey sweep across the thread-count ladder.
+    /// The row-band survey sweep across the thread-count ladder.
     pub scaling: ScalingReport,
     /// Telemetry overhead from the interleaved on/off load pairs.
     pub telemetry: TelemetryOverhead,
@@ -389,6 +393,10 @@ impl BenchReport {
             json_f64(self.config.nominal_range)
         ));
         out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
+        out.push_str(&format!(
+            "  \"host_cores\": {},\n",
+            self.scaling.max_threads
+        ));
         out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats));
         out.push_str(&format!("  \"greedy_k\": {},\n", self.config.greedy_k));
         out.push_str(&format!(
@@ -552,45 +560,33 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         BeaconField::random_uniform(cfg.beacons, terrain, &mut StdRng::seed_from_u64(cfg.seed));
     let model = IdealDisk::new(cfg.nominal_range);
     let policy = UnheardPolicy::TerrainCenter;
-    let base_map = ErrorMap::survey(&lattice, &field, &model, policy);
+    let base_map = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
 
     let mut kernels = Vec::new();
 
-    // Kernel 1: the survey connectivity sweep, point-major brute vs
-    // grid-bin indexed.
-    {
-        let mut brute_s = Vec::with_capacity(cfg.repeats);
-        let mut indexed_s = Vec::with_capacity(cfg.repeats);
-        let mut identical = true;
-        // Warmup (untimed) to fault in code and caches.
-        if !cfg.skip_brute {
-            let _ = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
-        }
-        let _ = ErrorMap::survey_indexed(&lattice, &field, &model, policy);
-        for _ in 0..cfg.repeats {
-            if !cfg.skip_brute {
-                let t = Instant::now();
-                let brute = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
-                brute_s.push(t.elapsed().as_secs_f64());
-                identical &= maps_bit_identical(&brute, &base_map);
-            }
-            let t = Instant::now();
-            let indexed = ErrorMap::survey_indexed(&lattice, &field, &model, policy);
-            indexed_s.push(t.elapsed().as_secs_f64());
-            if !cfg.skip_brute {
-                identical &= maps_bit_identical(&indexed, &base_map);
-            }
-        }
-        kernels.push(if cfg.skip_brute {
-            kernel_result_skipped("survey_sweep", &indexed_s)
-        } else {
-            kernel_result("survey_sweep", identical, &brute_s, &indexed_s)
-        });
-    }
+    // Kernels 1-2: the production survey sweep against the point-major
+    // oracle, under both propagation models the figures use.
+    let noisy = PerBeaconNoise::new(cfg.nominal_range, 0.5, cfg.seed);
+    kernels.push(survey_kernel(
+        "survey_sweep",
+        cfg,
+        &lattice,
+        &field,
+        &model,
+        &base_map,
+    ));
+    kernels.push(survey_kernel(
+        "survey_sweep_noise",
+        cfg,
+        &lattice,
+        &field,
+        &noisy,
+        &ErrorMap::survey_point_major(&lattice, &field, &noisy, policy),
+    ));
 
-    // Kernel 2: the steady-state trial loop — a fresh survey per sample
-    // (allocating its grid, index, and SoA every time) vs the same
-    // survey through one reused `SurveyScratch`. This is the path the
+    // Kernel 3: the steady-state trial loop — a fresh survey per sample
+    // (allocating its grids every time) vs the same survey through one
+    // reused `SurveyScratch`. This is the path the
     // Monte-Carlo engine runs per trial; the alloc stats come from the
     // reused side's post-warmup samples.
     let alloc;
@@ -603,8 +599,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         // second proves they are warm so the timed/counted samples below
         // measure the steady state only.
         for _ in 0..2 {
-            let warm =
-                ErrorMap::survey_indexed_with(&lattice, &field, &model, policy, &mut scratch);
+            let warm = ErrorMap::survey_with(&lattice, &field, &model, policy, &mut scratch, 1);
             scratch.recycle(warm);
         }
         let mut allocs_total: u64 = 0;
@@ -612,14 +607,13 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         for _ in 0..cfg.repeats {
             if !cfg.skip_brute {
                 let t = Instant::now();
-                let fresh = ErrorMap::survey_indexed(&lattice, &field, &model, policy);
+                let fresh = ErrorMap::survey(&lattice, &field, &model, policy);
                 fresh_s.push(t.elapsed().as_secs_f64());
                 identical &= maps_bit_identical(&fresh, &base_map);
             }
             let before = abp_trace::thread_snapshot();
             let t = Instant::now();
-            let reused =
-                ErrorMap::survey_indexed_with(&lattice, &field, &model, policy, &mut scratch);
+            let reused = ErrorMap::survey_with(&lattice, &field, &model, policy, &mut scratch, 1);
             reused_s.push(t.elapsed().as_secs_f64());
             let delta = abp_trace::thread_snapshot().delta_since(before);
             allocs_total += delta.allocs;
@@ -642,7 +636,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         });
     }
 
-    // Kernels 3–4: the greedy candidate scan, full re-score vs
+    // Kernels 4–5: the greedy candidate scan, full re-score vs
     // incremental delta re-score, for Grid and Max.
     let grid_algo = GridPlacement::paper(terrain, cfg.nominal_range);
     kernels.push(candidate_scan_kernel(
@@ -664,8 +658,8 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         cfg,
     ));
 
-    // The scaling ladder: the same indexed survey through the tile
-    // scheduler at each benched thread count, with scratch reuse and a
+    // The scaling ladder: the same survey through the row-band tile
+    // pass at each benched thread count, with scratch reuse and a
     // per-sample bit-identity gate against the reference map.
     let scaling = run_scaling(cfg, &lattice, &field, &model, policy, &base_map);
 
@@ -769,6 +763,47 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     }
 }
 
+/// Times the production sweep ([`ErrorMap::survey`]) against the
+/// point-major oracle under `model`, interleaved, bit-comparing every
+/// sample against `reference`.
+fn survey_kernel(
+    name: &'static str,
+    cfg: &BenchConfig,
+    lattice: &Lattice,
+    field: &BeaconField,
+    model: &dyn Propagation,
+    reference: &ErrorMap,
+) -> KernelResult {
+    let policy = reference.policy();
+    let mut brute_s = Vec::with_capacity(cfg.repeats);
+    let mut swept_s = Vec::with_capacity(cfg.repeats);
+    let mut identical = true;
+    // Warmup (untimed) to fault in code and caches.
+    if !cfg.skip_brute {
+        let _ = ErrorMap::survey_point_major(lattice, field, model, policy);
+    }
+    let _ = ErrorMap::survey(lattice, field, model, policy);
+    for _ in 0..cfg.repeats {
+        if !cfg.skip_brute {
+            let t = Instant::now();
+            let brute = ErrorMap::survey_point_major(lattice, field, model, policy);
+            brute_s.push(t.elapsed().as_secs_f64());
+            identical &= maps_bit_identical(&brute, reference);
+        }
+        let t = Instant::now();
+        let swept = ErrorMap::survey(lattice, field, model, policy);
+        swept_s.push(t.elapsed().as_secs_f64());
+        if !cfg.skip_brute {
+            identical &= maps_bit_identical(&swept, reference);
+        }
+    }
+    if cfg.skip_brute {
+        kernel_result_skipped(name, &swept_s)
+    } else {
+        kernel_result(name, identical, &brute_s, &swept_s)
+    }
+}
+
 /// The thread counts the scaling ladder runs at: the configured list
 /// (sorted, deduplicated, 1 forced in so efficiency has its anchor),
 /// or — when empty — powers of two from 1 up to the detected
@@ -794,7 +829,7 @@ fn scaling_ladder(cfg: &BenchConfig, max_threads: usize) -> Vec<usize> {
     counts
 }
 
-/// Times the tiled indexed survey at every rung of the thread ladder.
+/// Times the row-band survey at every rung of the thread ladder.
 ///
 /// Samples are taken round-robin across the rungs (one sample per
 /// count per round) so machine drift biases every count equally — the
@@ -819,27 +854,14 @@ fn run_scaling(
     // Warmup: grow each rung's scratch (and spawn its worker pool once)
     // so the timed rounds measure the steady state.
     for (i, &threads) in counts.iter().enumerate() {
-        let warm = ErrorMap::survey_indexed_with_threads(
-            lattice,
-            field,
-            model,
-            policy,
-            &mut scratches[i],
-            threads,
-        );
+        let warm = ErrorMap::survey_with(lattice, field, model, policy, &mut scratches[i], threads);
         scratches[i].recycle(warm);
     }
     for _ in 0..cfg.repeats {
         for (i, &threads) in counts.iter().enumerate() {
             let t = Instant::now();
-            let map = ErrorMap::survey_indexed_with_threads(
-                lattice,
-                field,
-                model,
-                policy,
-                &mut scratches[i],
-                threads,
-            );
+            let map =
+                ErrorMap::survey_with(lattice, field, model, policy, &mut scratches[i], threads);
             samples[i].push(t.elapsed().as_secs_f64());
             identical[i] &= maps_bit_identical(&map, base_map);
             scratches[i].recycle(map);
@@ -1060,15 +1082,19 @@ mod tests {
         let mut cfg = BenchConfig::tiny();
         cfg.repeats = 2;
         let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 4);
-        assert!(report.all_identical(), "indexed kernels changed outputs");
+        assert_eq!(report.kernels.len(), 5);
+        assert!(report.all_identical(), "fast kernels changed outputs");
         for k in &report.kernels {
             assert!(k.brute.median_s > 0.0, "{}: zero brute median", k.name);
             assert!(k.indexed.median_s > 0.0, "{}: zero indexed median", k.name);
             assert!(k.ci95_contains_median(), "{}: CI excludes median", k.name);
             assert!(k.speedup.is_finite() && k.speedup > 0.0);
         }
-        assert_eq!(report.kernels[1].name, "survey_sweep_scratch");
+        let names: Vec<&str> = report.kernels.iter().map(|k| k.name).collect();
+        assert_eq!(
+            names[..3],
+            ["survey_sweep", "survey_sweep_noise", "survey_sweep_scratch"]
+        );
         assert_eq!(report.serve.clients, cfg.serve_clients);
         assert_eq!(
             report.serve.requests,
@@ -1124,7 +1150,7 @@ mod tests {
         cfg.repeats = 2;
         cfg.skip_brute = true;
         let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 4);
+        assert_eq!(report.kernels.len(), 5);
         for k in &report.kernels {
             assert!(k.identical, "{}: vacuously true under skip_brute", k.name);
             assert_eq!(k.speedup, 1.0, "{}: degenerate speedup", k.name);
@@ -1239,7 +1265,8 @@ mod tests {
             },
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/6\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/7\""));
+        assert!(json.contains("\"host_cores\": 4"));
         assert!(json.contains("\"preset\": \"tiny\""));
         assert!(json.contains("\"skip_brute\": false"));
         assert!(json.contains(

@@ -23,10 +23,12 @@
 //!   duel              paired Grid-vs-Max comparison with significance verdicts
 //!   localizers        estimator ablation: centroid vs weighted/locus/multilat
 //!   heatmap           ASCII before/after heatmap of one placement step
-//!   bench             time the brute vs spatially-indexed hot kernels
-//!                     (survey sweep, scratch-reused survey, greedy
-//!                     candidate scan), verify the indexed outputs are
-//!                     bit-identical, and with --out write
+//!   bench             time the hot kernels against their simplest
+//!                     bit-identical counterparts (survey sweep vs the
+//!                     point-major oracle under both models,
+//!                     scratch-reused survey, greedy candidate scan),
+//!                     verify the outputs are bit-identical, and with
+//!                     --out write
 //!                     BENCH_sweep.json (median + 95% CI per kernel,
 //!                     plus steady-state allocs/trial when the binary
 //!                     was built with --features count-allocs; the
@@ -893,7 +895,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
             let report = abp_bench::run_bench(&bcfg);
             println!(
                 "{:<22} {:>14} {:>14} {:>9} {:>10}",
-                "kernel", "brute median", "indexed median", "speedup", "identical"
+                "kernel", "brute median", "fast median", "speedup", "identical"
             );
             for k in &report.kernels {
                 println!(
@@ -915,7 +917,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                 }
             }
             println!(
-                "scaling (tiled survey sweep, {} hardware threads detected):",
+                "scaling (row-band survey sweep, {} hardware threads detected):",
                 report.scaling.max_threads
             );
             println!(
@@ -983,7 +985,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
             }
             if !bcfg.skip_brute && !report.all_identical() {
                 return Err(
-                    "bench: an indexed kernel produced output that differs from brute force".into(),
+                    "bench: a fast kernel produced output that differs from its reference".into(),
                 );
             }
             if report.alloc.counting && report.alloc.allocs_per_trial > 0.0 {
@@ -1435,9 +1437,11 @@ mod tests {
         o.out = Some(dir.clone());
         run(&o).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/6\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/7\""));
         assert!(json.contains("\"seed\": 7"), "--seed reaches bench: {json}");
+        assert!(json.contains("\"host_cores\": "));
         assert!(json.contains("\"name\": \"survey_sweep\""));
+        assert!(json.contains("\"name\": \"survey_sweep_noise\""));
         assert!(json.contains("\"name\": \"survey_sweep_scratch\""));
         assert!(json.contains("\"name\": \"candidate_scan_grid\""));
         assert!(json.contains("\"name\": \"candidate_scan_max\""));

@@ -13,7 +13,7 @@
 //! * [`CellIndex`] — a cell-bucket spatial index over beacons for
 //!   radius-bounded queries,
 //! * [`BeaconSoA`] — a structure-of-arrays mirror (`xs`/`ys`/`reach²`)
-//!   for the dense sweep kernels in `abp-survey`.
+//!   of a field, published with every serving snapshot.
 //!
 //! # Example
 //!

@@ -7,15 +7,15 @@ use crate::field::BeaconField;
 /// position slices plus a per-beacon squared reach, all in beacon
 /// **insertion order** (the order of [`BeaconField::iter`]).
 ///
-/// The AoS walk of the indexed survey touches a 24-byte `Beacon` record
-/// per candidate just to read two coordinates; at paper scale that wastes
-/// two thirds of every cache line. `BeaconSoA` packs the three values the
-/// disk-membership test needs into dense `f64` slices so the tiled sweep
-/// kernel in `abp-survey` streams them with unit stride.
+/// A walk over `Beacon` records touches a 24-byte record per beacon just
+/// to read two coordinates; `BeaconSoA` packs the three values a
+/// disk-membership test needs into dense `f64` slices that stream with
+/// unit stride. The serving layer publishes one with every world
+/// snapshot.
 ///
 /// The squared reach comes from a caller-supplied closure rather than a
 /// propagation model, so this crate stays independent of `abp-radio`;
-/// the survey layer passes `|b| model.max_range(b.tx(), b.pos()).powi(2)`.
+/// callers pass `|b| model.max_range(b.tx(), b.pos()).powi(2)`.
 ///
 /// Buffers are retained across [`BeaconSoA::rebuild_with`] calls, so a
 /// scratch-held instance reaches zero steady-state allocations once it

@@ -59,9 +59,9 @@ use std::cell::RefCell;
 
 thread_local! {
     /// Reusable per-thread candidate bitmask (one bit per indexed point).
-    /// Radius queries are the hot inner loop of the indexed sweeps — one
-    /// query per surveyed lattice point — so the scratch buffer must not
-    /// be reallocated per query. Taken (not borrowed) for the duration of
+    /// Radius queries are the hot inner loop of point-shaped consumers —
+    /// one query per localized point — so the scratch buffer must not be
+    /// reallocated per query. Taken (not borrowed) for the duration of
     /// a query, so a reentrant query from the callback degrades to a
     /// fresh allocation instead of a `RefCell` panic.
     static CANDIDATE_BITS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };

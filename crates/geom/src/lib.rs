@@ -10,7 +10,8 @@
 //!   walks (the paper's `(i·step, j·step)` grid corners),
 //! * [`Disk`] — radio coverage disks and fast lattice/disk intersection,
 //! * [`GridBins`] — a uniform grid-bin spatial index with deterministic,
-//!   insertion-ordered radius queries (the indexed sweep's backbone),
+//!   insertion-ordered radius queries (the connectivity oracle's
+//!   backbone),
 //! * [`circle`] — circle–circle intersection and lens areas (used by the
 //!   locus-based localizer),
 //! * [`polygon`] — polygon area/centroid for locus regions,

@@ -106,9 +106,9 @@ impl<M: Propagation + ?Sized> Propagation for MessageCountOracle<'_, M> {
         self.base.nominal_range()
     }
 
-    // disk_exact() stays the default `false`: even over an exact-disk
-    // base, message counting can disconnect in-range pairs (collisions,
-    // sleep, death), so the sharp-disk fast path must not be taken.
+    // guaranteed_range() stays the default `None`: even over a base with
+    // a guaranteed core, message counting can disconnect in-range pairs
+    // (collisions, sleep, death), so the survey must ask `connected`.
 }
 
 #[cfg(test)]
@@ -204,6 +204,10 @@ mod tests {
         let b = field.beacons()[0];
         assert_eq!(oracle.max_range(b.tx(), b.pos()), 15.0);
         assert_eq!(oracle.nominal_range(), 15.0);
-        assert!(!oracle.disk_exact(), "sharp-disk fast path must stay off");
+        assert_eq!(
+            oracle.guaranteed_range(b.tx(), b.pos()),
+            None,
+            "the guaranteed-core shortcut must stay off"
+        );
     }
 }

@@ -64,11 +64,10 @@ impl Propagation for IdealDisk {
     }
 
     /// Connectivity *is* the sharp range-`R` disk: `connected` is
-    /// implemented as `distance_squared(rx) <= range * range`, exactly
-    /// the comparison the `disk_exact` contract requires.
+    /// `distance_squared(rx) <= range * range`, the guarantee's own test.
     #[inline]
-    fn disk_exact(&self) -> bool {
-        true
+    fn guaranteed_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
+        Some(self.range)
     }
 }
 
@@ -117,14 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn disk_exact_matches_connected_everywhere() {
+    fn guaranteed_range_is_the_whole_disk() {
         let m = IdealDisk::new(9.0);
-        assert!(m.disk_exact());
-        // The contract: connected <=> distance_squared <= max_range^2,
-        // including at the boundary.
+        assert_eq!(m.guaranteed_range(TxId(1), Point::ORIGIN), Some(9.0));
+        // connected <=> distance_squared <= g^2, including at the boundary.
         for &(x, y) in &[(9.0, 0.0), (8.999, 0.0), (9.001, 0.0), (6.3, 6.4)] {
             let rx = Point::new(x, y);
-            let r = m.max_range(TxId(1), Point::ORIGIN);
+            let r = m.guaranteed_range(TxId(1), Point::ORIGIN).unwrap();
             assert_eq!(
                 m.connected(TxId(1), Point::ORIGIN, rx),
                 Point::ORIGIN.distance_squared(rx) <= r * r,

@@ -117,21 +117,19 @@ pub trait Propagation: Send + Sync {
     /// ignoring noise. Placement algorithms size their grids from this.
     fn nominal_range(&self) -> f64;
 
-    /// Whether connectivity is *exactly* the closed disk of
-    /// [`Propagation::max_range`]: `connected(tx, p, rx)` holds if and
-    /// only if `p.distance_squared(rx) <= max_range(tx, p) * max_range(tx, p)`
-    /// — that squared form verbatim, so the boundary bit-semantics are
-    /// pinned down.
+    /// A radius inside which `connected` is guaranteed: for every `rx`
+    /// with `tx_pos.distance_squared(rx) <= g * g` (that squared form
+    /// verbatim), `connected(tx, tx_pos, rx)` is `true`.
     ///
-    /// Index-accelerated sweeps use this to replace the per-candidate
-    /// virtual `connected` call with the inline comparison (same heard
-    /// sets, bit-identical accumulation, no dynamic dispatch in the hot
-    /// loop). Defaults to `false`, which is always sound; only models
-    /// whose connectivity truly is the sharp `max_range` disk — no
-    /// noise, shadowing, obstruction, or time variation — may override
-    /// it to `true`.
-    fn disk_exact(&self) -> bool {
-        false
+    /// The survey sweep uses this to skip the per-point `connected` call
+    /// (for noisy models, a hash per point) inside the guaranteed core:
+    /// the inline comparison decides exactly what `connected` would, so
+    /// the heard sets and accumulated bits do not change. Defaults to
+    /// `None` ("no guarantee"), which is always sound; a model that can
+    /// drop a link anywhere — a dead beacon at distance 0, an obstacle,
+    /// a lossy channel — must keep it.
+    fn guaranteed_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
+        None
     }
 }
 
@@ -146,6 +144,9 @@ impl<M: Propagation + ?Sized> Propagation for &M {
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
     }
+    fn guaranteed_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        (**self).guaranteed_range(tx, tx_pos)
+    }
 }
 
 impl<M: Propagation + ?Sized> Propagation for Box<M> {
@@ -157,6 +158,9 @@ impl<M: Propagation + ?Sized> Propagation for Box<M> {
     }
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
+    }
+    fn guaranteed_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        (**self).guaranteed_range(tx, tx_pos)
     }
 }
 
@@ -179,5 +183,26 @@ mod tests {
         // And references delegate.
         let by_ref: &dyn Propagation = &*model;
         assert_eq!(by_ref.max_range(TxId(0), Point::ORIGIN), 10.0);
+    }
+
+    /// The blanket `&M` / `Box<M>` impls forward the guarantee instead of
+    /// falling back to the trait default.
+    #[test]
+    fn wrappers_forward_the_guaranteed_range() {
+        fn through<M: Propagation>(model: M) -> Option<f64> {
+            model.guaranteed_range(TxId(4), Point::new(2.0, 3.0))
+        }
+        let bare = IdealDisk::new(10.0);
+        let want = through(bare);
+        assert_eq!(want, Some(10.0));
+        let boxed: Box<dyn Propagation> = Box::new(bare);
+        assert_eq!(through::<&IdealDisk>(&bare), want);
+        assert_eq!(through(&boxed), want);
+        assert_eq!(through(Box::new(&bare)), want);
+        let noisy = PerBeaconNoise::new(10.0, 0.5, 3);
+        let noisy_want = through(noisy);
+        assert!(noisy_want.is_some());
+        let noisy_boxed: Box<dyn Propagation> = Box::new(noisy);
+        assert_eq!(through(&noisy_boxed), noisy_want);
     }
 }

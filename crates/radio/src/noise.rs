@@ -203,6 +203,27 @@ impl Propagation for PerBeaconNoise {
     fn nominal_range(&self) -> f64 {
         self.nominal
     }
+
+    /// The noise-free core `R(1 - nf(B))`; under
+    /// [`NoiseStyle::CoherentRadius`] the whole (point-independent) disk
+    /// `R(1 + u(B)·nf(B))`.
+    ///
+    /// Exact, not approximate: `u >= -1` and `nf >= 0` give
+    /// `u·nf >= -nf`, and IEEE rounding is monotone with `-nf`
+    /// representable, so the computed `fl(u·nf) >= -nf`. Each later
+    /// step (`1 + _`, `R · _`, squaring a non-negative value) is a
+    /// monotone rounded operation too, so `connected`'s `r * r` is never
+    /// below `g * g` and every point the shortcut accepts is one
+    /// `connected` accepts.
+    #[inline]
+    fn guaranteed_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        Some(match self.style {
+            NoiseStyle::Speckled | NoiseStyle::Lossy => {
+                self.nominal * (1.0 - self.noise_factor(tx))
+            }
+            NoiseStyle::CoherentRadius => self.effective_range(tx, tx_pos),
+        })
+    }
 }
 
 impl fmt::Display for PerBeaconNoise {

@@ -5,8 +5,8 @@
 
 use abp_geom::Point;
 use abp_radio::{
-    IdealDisk, LogDistance, MessageLink, Obstructed, PerBeaconNoise, Propagation, TimeVarying,
-    TxId, Wall,
+    HeightField, IdealDisk, LogDistance, MessageLink, NoiseStyle, Obstructed, PerBeaconNoise,
+    Propagation, TerrainShadowed, TimeVarying, TxId, Wall,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,6 +14,15 @@ use rand::SeedableRng;
 
 fn pt() -> impl Strategy<Value = Point> {
     (-200.0..200.0f64, -200.0..200.0f64).prop_map(|(x, y)| Point::new(x, y))
+}
+
+/// `guaranteed_range` soundness at `rx`: inside the guarantee's squared
+/// test, `connected` must hold.
+fn check_guarantee<M: Propagation>(model: &M, tx: TxId, tx_pos: Point, rx: Point) -> bool {
+    match model.guaranteed_range(tx, tx_pos) {
+        Some(g) => tx_pos.distance_squared(rx) > g * g || model.connected(tx, tx_pos, rx),
+        None => true,
+    }
 }
 
 fn check_range_bound<M: Propagation>(model: &M, tx: TxId, tx_pos: Point, rx: Point) -> bool {
@@ -128,5 +137,57 @@ proptest! {
         prop_assert!(obs.received <= obs.sent);
         prop_assert_eq!(obs.sent, windows);
         prop_assert!((0.0..=1.0).contains(&obs.fraction()));
+    }
+
+    /// Every point the survey's guaranteed-range shortcut accepts,
+    /// `connected` accepts too — for the ideal disk and all three noise
+    /// readings up to noise 0.99, at random points, at a point built to
+    /// sit exactly `g` away along an axis (`bx = px + g`), and at the
+    /// transmitter itself.
+    #[test]
+    fn guaranteed_range_is_sound(
+        r in 0.5..50.0f64, noise in 0.0..0.99f64, seed in any::<u64>(),
+        id in any::<u64>(), tx_pos in pt(), rx in pt(), style_ix in 0usize..3
+    ) {
+        let style = [NoiseStyle::Speckled, NoiseStyle::CoherentRadius, NoiseStyle::Lossy][style_ix];
+        let noisy = PerBeaconNoise::with_style(r, noise, seed, style);
+        let ideal = IdealDisk::new(r);
+        let tx = TxId(id);
+        for model in [&ideal as &dyn Propagation, &noisy] {
+            let g = model.guaranteed_range(tx, tx_pos).expect("these models guarantee a core");
+            prop_assert!(g >= 0.0 && g <= model.max_range(tx, tx_pos));
+            prop_assert!(check_guarantee(&model, tx, tx_pos, rx));
+            prop_assert!(check_guarantee(&model, tx, tx_pos, tx_pos));
+            // The boundary: the receiver sits at px, the transmitter at
+            // px + g, so the computed distance² is exactly (bx - px)².
+            let bx = Point::new(rx.x + g, rx.y);
+            let d2 = bx.distance_squared(rx);
+            if d2 <= g * g {
+                prop_assert!(model.connected(tx, bx, rx), "boundary point dropped");
+            }
+            prop_assert!(check_guarantee(&model, tx, bx, rx));
+        }
+    }
+
+    /// Wrappers that can drop links inside the base model's disk keep
+    /// the default "no guarantee", even over a base that has one.
+    #[test]
+    fn link_dropping_wrappers_offer_no_guarantee(
+        r in 1.0..50.0f64, seed in any::<u64>(), id in any::<u64>(), tx_pos in pt()
+    ) {
+        let tx = TxId(id);
+        let base = IdealDisk::new(r);
+        prop_assert!(base.guaranteed_range(tx, tx_pos).is_some());
+        let wall = Wall::new(Point::new(0.0, -300.0), Point::new(0.0, 300.0), 0.5);
+        let hill = HeightField::hill(10.0, 10, 30.0, 20.0);
+        let wrapped: [&dyn Propagation; 4] = [
+            &Obstructed::new(base, vec![wall]),
+            &TerrainShadowed::new(base, hill, 1.0),
+            &TimeVarying::new(base, 0.5, seed).at_epoch(3),
+            &LogDistance::new(r, 3.0, 4.0, 1.0, seed),
+        ];
+        for model in wrapped {
+            prop_assert_eq!(model.guaranteed_range(tx, tx_pos), None);
+        }
     }
 }

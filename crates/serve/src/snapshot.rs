@@ -81,10 +81,10 @@ impl WorldSnapshot {
     ) -> Self {
         let lattice = Lattice::new(field.terrain(), step);
         // The rebuilder allocates freely (it is off the hot path), so a
-        // fresh scratch per build is fine; what matters is the tiled
+        // fresh scratch per build is fine; what matters is the banded
         // sweep inside.
         let mut scratch = abp_survey::SurveyScratch::new();
-        let map = ErrorMap::survey_indexed_with_threads(
+        let map = ErrorMap::survey_with(
             &lattice,
             &field,
             &*model,

@@ -48,24 +48,24 @@ pub struct TrialSample {
 /// Runs one trial: generate a field, survey it, summarize.
 ///
 /// The survey runs through this worker thread's [`crate::TrialScratch`]
-/// (`ErrorMap::survey_indexed_with`), so the steady-state trial loop
-/// reuses the error-map grids, spatial index, and quantile workspace
-/// instead of reallocating them — with results **bit-identical** to the
-/// historical beacon-major `ErrorMap::survey` (all sweep variants
-/// accumulate each point's heard beacons in the same ascending insertion
-/// order; asserted by `four_sweeps_bit_identical` in `abp-survey` and at
-/// scale in `tests/indexing.rs`).
+/// (`ErrorMap::survey_with`, one thread), so the steady-state trial loop
+/// reuses the error-map grids and quantile workspace instead of
+/// reallocating them — with results **bit-identical** to the fresh
+/// `ErrorMap::survey` and the point-major oracle (every sweep accumulates
+/// each point's heard beacons in the same ascending insertion order;
+/// asserted in `abp-survey` and at scale in `tests/indexing.rs`).
 pub fn run_trial(cfg: &SimConfig, noise: f64, beacons: usize, trial_seed: u64) -> TrialSample {
     let field = cfg.trial_field(beacons, trial_seed);
     let model = cfg.model(noise, splitmix64(trial_seed ^ 0x4E_01_5E));
     let lattice = cfg.lattice();
     crate::scratch::with_trial_scratch(|scratch| {
-        let map = ErrorMap::survey_indexed_with(
+        let map = ErrorMap::survey_with(
             &lattice,
             &field,
             &*model,
             cfg.policy,
             &mut scratch.survey,
+            1,
         );
         let sample = TrialSample {
             mean: map.mean_error(),

@@ -74,12 +74,13 @@ pub fn run_trial(
     // `density_error::run_trial`). The per-algorithm `after` map stays a
     // clone: each algorithm mutates its own private copy.
     crate::scratch::with_trial_scratch(|scratch| {
-        let before = ErrorMap::survey_indexed_with(
+        let before = ErrorMap::survey_with(
             &lattice,
             &field,
             &*model,
             cfg.policy,
             &mut scratch.survey,
+            1,
         );
         let before_mean = before.mean_error();
         let before_median = scratch.survey.median_error(&before);

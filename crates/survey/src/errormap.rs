@@ -1,6 +1,5 @@
 //! The measured localization-error field.
 
-use crate::lanes::SweepLane;
 use abp_field::{Beacon, BeaconField};
 use abp_geom::{Disk, Lattice, LatticeIndex, Point, Rect};
 use abp_localize::{ConnectivityOracle, Localizer, UnheardPolicy};
@@ -125,487 +124,38 @@ impl ErrorMap {
     ///
     /// Semantically identical to running the paper's centroid localizer at
     /// every lattice point (validated against
-    /// [`ErrorMap::survey_with_localizer`] in tests).
+    /// [`ErrorMap::survey_with_localizer`] in tests). A fresh-buffer
+    /// [`ErrorMap::survey_with`] on one thread.
     pub fn survey(
         lattice: &Lattice,
         field: &BeaconField,
         model: &dyn Propagation,
         policy: UnheardPolicy,
     ) -> Self {
-        let n = lattice.len();
-        let mut map = ErrorMap {
-            lattice: *lattice,
+        Self::survey_with(
+            lattice,
+            field,
+            model,
             policy,
-            sum_x: vec![0.0; n],
-            sum_y: vec![0.0; n],
-            count: vec![0; n],
-            errors: vec![0.0; n],
-        };
-        {
-            let _span = abp_trace::span!("radio.connectivity_sweep");
-            for b in field {
-                map.accumulate_beacon(b, model);
-            }
-        }
-        {
-            let _span = abp_trace::span!("localize.derive_errors");
-            for flat in 0..n {
-                map.errors[flat] = map.derive_error(flat);
-            }
-        }
-        map
+            &mut crate::SurveyScratch::new(),
+            1,
+        )
     }
 
     /// Point-major brute-force sweep: for every lattice point, scan every
-    /// beacon. `O(points × beacons)` — the reference the indexed sweep is
-    /// benchmarked and bit-compared against.
+    /// beacon. `O(points × beacons)` — the test and bench oracle the
+    /// production sweep is bit-compared and timed against.
     ///
     /// Accumulates each point's heard beacons in insertion order — the
     /// same per-point addition order as the beacon-major
-    /// [`ErrorMap::survey`] — so all three sweeps produce **bit-identical**
-    /// maps (asserted by tests and the CI perf-smoke job).
+    /// [`ErrorMap::survey`] — so the two produce **bit-identical** maps.
     pub fn survey_point_major(
         lattice: &Lattice,
         field: &BeaconField,
         model: &dyn Propagation,
         policy: UnheardPolicy,
     ) -> Self {
-        Self::survey_via(&ConnectivityOracle::new(field, model), lattice, policy)
-    }
-
-    /// Point-major sweep through a grid-bin spatial index: each lattice
-    /// point tests only the beacons in nearby cells —
-    /// `O(points × beacons-in-reach)`.
-    ///
-    /// Bit-identical to [`ErrorMap::survey`] and
-    /// [`ErrorMap::survey_point_major`]: the index visits candidates in
-    /// insertion order (see `abp_field::CellIndex`) and prunes only
-    /// beacons that `Propagation::max_range` proves unreachable, so every
-    /// per-point accumulation performs the same additions in the same
-    /// order.
-    pub fn survey_indexed(
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-    ) -> Self {
-        let index = ConnectivityOracle::build_index(field, model);
-        // Disk-exact models (`Propagation::disk_exact`) let the sweep
-        // replace the virtual per-candidate `connected` call with the
-        // inline squared-distance comparison the contract pins down —
-        // the hottest loop in the workspace then touches only the dense
-        // position and threshold arrays, with no dynamic dispatch.
-        if model.disk_exact() {
-            return Self::survey_indexed_disk(&index, lattice, field, model, policy);
-        }
-        let oracle = ConnectivityOracle::with_index(field, model, &index);
-        Self::survey_via(&oracle, lattice, policy)
-    }
-
-    /// The disk-exact indexed sweep: per candidate, heard is exactly
-    /// `distance_squared <= max_range^2` (see
-    /// `Propagation::disk_exact`), evaluated inline over the index's
-    /// dense position array. Bit-identical to the oracle path because
-    /// the comparison *is* the model's `connected` and candidates arrive
-    /// in the same ascending insertion order.
-    fn survey_indexed_disk(
-        index: &abp_field::CellIndex,
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-    ) -> Self {
-        let n = lattice.len();
-        let mut map = ErrorMap {
-            lattice: *lattice,
-            policy,
-            sum_x: vec![0.0; n],
-            sum_y: vec![0.0; n],
-            count: vec![0; n],
-            errors: vec![0.0; n],
-        };
-        // Dense positions and squared thresholds, in insertion order
-        // (r * r per beacon, matching the disk_exact contract verbatim).
-        // The fresh path allocates its mirror locally; the scratch path
-        // reuses one across trials.
-        let mut soa = abp_field::BeaconSoA::new();
-        soa.rebuild_with(field, |b| {
-            let r = model.max_range(b.tx(), b.pos());
-            r * r
-        });
-        let mut lane = SweepLane::new();
-        Self::disk_sweep_soa(
-            index,
-            &soa,
-            lattice,
-            &mut lane,
-            &mut map.sum_x,
-            &mut map.sum_y,
-            &mut map.count,
-        );
-        {
-            let _span = abp_trace::span!("localize.derive_errors");
-            for flat in 0..n {
-                map.errors[flat] = map.derive_error(flat);
-            }
-        }
-        map
-    }
-
-    /// [`ErrorMap::survey_indexed`] through a reusable
-    /// [`SurveyScratch`](crate::SurveyScratch): the accumulator grids,
-    /// SoA mirror, and spatial index all come from (and return to) the
-    /// scratch, so repeated calls allocate nothing once the buffers have
-    /// grown to the sweep's largest trial.
-    ///
-    /// **Bit-identical** to [`ErrorMap::survey_indexed`] — and therefore
-    /// to all three fresh sweeps: the disk-exact path runs the tiled
-    /// structure-of-arrays kernel over the same candidates in the same
-    /// ascending insertion order with the same `dx² + dy² <= r²`
-    /// comparison, and the oracle path is the same loop as
-    /// [`ErrorMap::survey_point_major`]. Asserted by tests here, in
-    /// `scratch.rs`, and at scale in `tests/indexing.rs`.
-    ///
-    /// The returned map *owns* the grid buffers; hand them back with
-    /// [`SurveyScratch::recycle`](crate::SurveyScratch::recycle) when
-    /// done.
-    pub fn survey_indexed_with(
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-        scratch: &mut crate::SurveyScratch,
-    ) -> Self {
-        Self::survey_indexed_with_threads(lattice, field, model, policy, scratch, 1)
-    }
-
-    /// [`ErrorMap::survey_indexed_with`] across an intra-survey tile
-    /// scheduler: the lattice is split row-band-wise into tiles (about
-    /// four per worker, for load balance), each tile owns disjoint
-    /// `sum_x/sum_y/count/errors` slices and its own packed-candidate
-    /// [`SweepLane`] from the scratch, and a worker
-    /// pool mirroring `abp-sim`'s `parallel_try_map` discipline (atomic
-    /// work claiming, per-tile panic isolation, deterministic re-panic)
-    /// executes them. Error derivation joins the same tile pass, fused
-    /// with the sweep under the `radio.connectivity_sweep` span.
-    ///
-    /// `threads` follows the workspace convention: `0` means all
-    /// available cores; `1` runs the plain sequential sweep (identical
-    /// code path and trace spans as before this scheduler existed).
-    ///
-    /// **Bit-identical at any thread count**: every lattice point's
-    /// accumulation is self-contained (its candidates fold in ascending
-    /// insertion order regardless of which tile visits it), tiles write
-    /// disjoint slices, and no cross-point arithmetic exists anywhere in
-    /// the pass — so the schedule cannot influence any output bit.
-    /// Asserted by `four_sweeps_bit_identical`, the proptests, and
-    /// `tests/indexing.rs` at paper scale.
-    pub fn survey_indexed_with_threads(
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-        scratch: &mut crate::SurveyScratch,
-        threads: usize,
-    ) -> Self {
-        let workers = crate::tiles::resolve_survey_threads(threads);
-        let n = lattice.len();
-        let mut sum_x = std::mem::take(&mut scratch.sum_x);
-        let mut sum_y = std::mem::take(&mut scratch.sum_y);
-        let mut count = std::mem::take(&mut scratch.count);
-        let mut errors = std::mem::take(&mut scratch.errors);
-        sum_x.clear();
-        sum_x.resize(n, 0.0);
-        sum_y.clear();
-        sum_y.resize(n, 0.0);
-        count.clear();
-        count.resize(n, 0);
-        errors.clear();
-        errors.resize(n, 0.0);
-        match &mut scratch.index {
-            Some(index) => ConnectivityOracle::rebuild_index(index, field, model),
-            none => *none = Some(ConnectivityOracle::build_index(field, model)),
-        }
-        let crate::SurveyScratch {
-            index,
-            soa,
-            tile_lanes,
-            ..
-        } = scratch;
-        let index = index.as_ref().expect("index was just built");
-        let disk = model.disk_exact();
-        if disk {
-            // Dense squared thresholds, computed exactly as the AoS path
-            // does (r * r per beacon, insertion order).
-            soa.rebuild_with(field, |b| {
-                let r = model.max_range(b.tx(), b.pos());
-                r * r
-            });
-        }
-
-        if workers <= 1 {
-            if disk {
-                if tile_lanes.is_empty() {
-                    tile_lanes.push(SweepLane::new());
-                }
-                Self::disk_sweep_soa(
-                    index,
-                    soa,
-                    lattice,
-                    &mut tile_lanes[0],
-                    &mut sum_x,
-                    &mut sum_y,
-                    &mut count,
-                );
-            } else {
-                let oracle = ConnectivityOracle::with_index(field, model, index);
-                let _span = abp_trace::span!("radio.connectivity_sweep");
-                Self::oracle_sweep_rows(
-                    &oracle,
-                    lattice,
-                    0,
-                    lattice.per_side() - 1,
-                    &mut sum_x,
-                    &mut sum_y,
-                    &mut count,
-                );
-            }
-            let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
-            {
-                let _span = abp_trace::span!("localize.derive_errors");
-                for flat in 0..n {
-                    map.errors[flat] = map.derive_error(flat);
-                }
-            }
-            return map;
-        }
-
-        let per_side = lattice.per_side() as usize;
-        let bands = crate::tiles::row_bands(per_side, workers * 4);
-        while tile_lanes.len() < bands.len() {
-            tile_lanes.push(SweepLane::new());
-        }
-        let oracle = (!disk).then(|| ConnectivityOracle::with_index(field, model, index));
-        let soa: &abp_field::BeaconSoA = soa;
-
-        struct Tile<'a> {
-            j_lo: u32,
-            j_hi: u32,
-            sum_x: &'a mut [f64],
-            sum_y: &'a mut [f64],
-            count: &'a mut [u32],
-            errors: &'a mut [f64],
-            lane: &'a mut SweepLane,
-        }
-
-        let mut tasks: Vec<Tile<'_>> = Vec::with_capacity(bands.len());
-        {
-            let mut rx: &mut [f64] = &mut sum_x;
-            let mut ry: &mut [f64] = &mut sum_y;
-            let mut rc: &mut [u32] = &mut count;
-            let mut re: &mut [f64] = &mut errors;
-            let mut lanes: &mut [SweepLane] = tile_lanes;
-            for &(start, rows) in &bands {
-                let len = rows * per_side;
-                let (hx, tx) = std::mem::take(&mut rx).split_at_mut(len);
-                rx = tx;
-                let (hy, ty) = std::mem::take(&mut ry).split_at_mut(len);
-                ry = ty;
-                let (hc, tc) = std::mem::take(&mut rc).split_at_mut(len);
-                rc = tc;
-                let (he, te) = std::mem::take(&mut re).split_at_mut(len);
-                re = te;
-                let (lane, rest) = std::mem::take(&mut lanes).split_first_mut().expect("lane");
-                lanes = rest;
-                tasks.push(Tile {
-                    j_lo: start as u32,
-                    j_hi: (start + rows - 1) as u32,
-                    sum_x: hx,
-                    sum_y: hy,
-                    count: hc,
-                    errors: he,
-                    lane,
-                });
-            }
-        }
-
-        let tested = AtomicU64::new(0);
-        {
-            // The tiled pass fuses sweep + error derivation into one tile
-            // traversal; the fused work reports under the sweep span.
-            let _span = abp_trace::span!("radio.connectivity_sweep");
-            crate::tiles::run_pool(tasks, workers, |_, t| {
-                match &oracle {
-                    Some(oracle) => Self::oracle_sweep_rows(
-                        oracle, lattice, t.j_lo, t.j_hi, t.sum_x, t.sum_y, t.count,
-                    ),
-                    None => {
-                        let band = Self::disk_sweep_rows(
-                            index, soa, lattice, t.j_lo, t.j_hi, t.lane, t.sum_x, t.sum_y, t.count,
-                        );
-                        tested.fetch_add(band, Ordering::Relaxed);
-                    }
-                }
-                let base = t.j_lo as usize * per_side;
-                for off in 0..t.errors.len() {
-                    t.errors[off] = derive_error_at(
-                        lattice,
-                        policy,
-                        base + off,
-                        t.sum_x[off],
-                        t.sum_y[off],
-                        t.count[off],
-                    );
-                }
-            });
-            if disk {
-                abp_radio::metrics::LINKS_TESTED.add(tested.load(Ordering::Relaxed));
-            }
-        }
-        ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors)
-    }
-
-    /// The tiled structure-of-arrays disk sweep over the whole lattice:
-    /// [`ErrorMap::disk_sweep_rows`] for every row, under the
-    /// connectivity span, with the links-tested metric flushed once.
-    fn disk_sweep_soa(
-        index: &abp_field::CellIndex,
-        soa: &abp_field::BeaconSoA,
-        lattice: &Lattice,
-        lane: &mut SweepLane,
-        sum_x: &mut [f64],
-        sum_y: &mut [f64],
-        count: &mut [u32],
-    ) {
-        let _span = abp_trace::span!("radio.connectivity_sweep");
-        let tested = Self::disk_sweep_rows(
-            index,
-            soa,
-            lattice,
-            0,
-            lattice.per_side() - 1,
-            lane,
-            sum_x,
-            sum_y,
-            count,
-        );
-        abp_radio::metrics::LINKS_TESTED.add(tested);
-    }
-
-    /// The SIMD-wide structure-of-arrays disk sweep over lattice rows
-    /// `j_lo..=j_hi`: points are walked row-major, the candidate cell is
-    /// resolved once per run of points sharing it, and on each cell
-    /// change the candidates' `xs`/`ys`/`reach²` columns are gathered
-    /// densely into `lane` ([`SweepLane::pack`], amortized over the whole
-    /// run) so the membership test streams unit-stride memory through the
-    /// explicit-width kernel ([`crate::lanes::sweep_lanes`]) — no
-    /// `Beacon` records, no virtual calls, no gathers in the inner loop.
-    ///
-    /// The kernel computes the membership mask [`crate::LANES`] wide but
-    /// folds accepted candidates in ascending insertion order, so the
-    /// accumulation order and arithmetic are exactly those of the scalar
-    /// per-candidate test and the result is bit-identical.
-    ///
-    /// Output slices are **band-local**: index `flat - j_lo * per_side`.
-    /// Returns the number of links tested (the caller owns the metric
-    /// flush — tiles sum theirs into one add).
-    #[allow(clippy::too_many_arguments)]
-    fn disk_sweep_rows(
-        index: &abp_field::CellIndex,
-        soa: &abp_field::BeaconSoA,
-        lattice: &Lattice,
-        j_lo: u32,
-        j_hi: u32,
-        lane: &mut SweepLane,
-        sum_x: &mut [f64],
-        sum_y: &mut [f64],
-        count: &mut [u32],
-    ) -> u64 {
-        let bins = index.bins();
-        let (xs, ys, r2) = (soa.xs(), soa.ys(), soa.reach2());
-        let per_side = lattice.per_side();
-        let mut tested = 0u64;
-        let mut last_cell = usize::MAX;
-        let mut off = 0usize;
-        for j in j_lo..=j_hi {
-            for i in 0..per_side {
-                let p = lattice.point(LatticeIndex::new(i, j));
-                let (sx, sy, heard) = if let Some(c) = bins.candidate_cell(p) {
-                    if c != last_cell {
-                        last_cell = c;
-                        lane.pack(bins.cell_candidates(c), xs, ys, r2);
-                    }
-                    tested += lane.len() as u64;
-                    lane.sweep(p.x, p.y)
-                } else {
-                    // No precomputed candidate table (oversized reach or
-                    // empty index): the generic candidate walk, still
-                    // over the dense arrays.
-                    let (mut sx, mut sy, mut heard) = (0.0f64, 0.0f64, 0u32);
-                    bins.for_each_candidate(p, |k, _| {
-                        tested += 1;
-                        // Same operand order as Point::distance_squared
-                        // with self = beacon, other = p — keeps the f64
-                        // results bit-identical to the AoS walk.
-                        let dx = xs[k] - p.x;
-                        let dy = ys[k] - p.y;
-                        if dx * dx + dy * dy <= r2[k] {
-                            sx += xs[k];
-                            sy += ys[k];
-                            heard += 1;
-                        }
-                    });
-                    (sx, sy, heard)
-                };
-                sum_x[off] = sx;
-                sum_y[off] = sy;
-                count[off] = heard;
-                off += 1;
-            }
-        }
-        tested
-    }
-
-    /// The oracle (non-disk-exact) sweep over lattice rows `j_lo..=j_hi`,
-    /// accumulating each point's heard beacons in insertion order —
-    /// the same loop [`ErrorMap::survey_point_major`] runs, banded so
-    /// tiles can share it. Output slices are band-local, like
-    /// [`ErrorMap::disk_sweep_rows`].
-    fn oracle_sweep_rows(
-        oracle: &ConnectivityOracle<'_>,
-        lattice: &Lattice,
-        j_lo: u32,
-        j_hi: u32,
-        sum_x: &mut [f64],
-        sum_y: &mut [f64],
-        count: &mut [u32],
-    ) {
-        let per_side = lattice.per_side();
-        let mut off = 0usize;
-        for j in j_lo..=j_hi {
-            for i in 0..per_side {
-                let p = lattice.point(LatticeIndex::new(i, j));
-                let (mut sx, mut sy, mut heard) = (0.0f64, 0.0f64, 0u32);
-                oracle.for_each_heard(p, |b| {
-                    sx += b.pos().x;
-                    sy += b.pos().y;
-                    heard += 1;
-                });
-                sum_x[off] = sx;
-                sum_y[off] = sy;
-                count[off] = heard;
-                off += 1;
-            }
-        }
-    }
-
-    /// Point-major sweep through a caller-provided oracle (brute or
-    /// indexed).
-    fn survey_via(
-        oracle: &ConnectivityOracle<'_>,
-        lattice: &Lattice,
-        policy: UnheardPolicy,
-    ) -> Self {
+        let oracle = ConnectivityOracle::new(field, model);
         let n = lattice.len();
         let mut map = ErrorMap {
             lattice: *lattice,
@@ -619,10 +169,6 @@ impl ErrorMap {
             let _span = abp_trace::span!("radio.connectivity_sweep");
             for ix in lattice.indices() {
                 let p = lattice.point(ix);
-                // Accumulate in locals and store once per point: the
-                // additions happen in the same (beacon-insertion) order
-                // as ever, so the sums stay bit-identical — only the
-                // per-beacon memory traffic goes away.
                 let (mut sx, mut sy, mut n) = (0.0f64, 0.0f64, 0u32);
                 oracle.for_each_heard(p, |b| {
                     sx += b.pos().x;
@@ -635,13 +181,132 @@ impl ErrorMap {
                 map.count[flat] = n;
             }
         }
-        {
-            let _span = abp_trace::span!("localize.derive_errors");
-            for flat in 0..n {
-                map.errors[flat] = map.derive_error(flat);
-            }
-        }
+        map.derive_all_errors();
         map
+    }
+
+    /// The production survey: the beacon-major sweep through a reusable
+    /// [`SurveyScratch`](crate::SurveyScratch), optionally split across
+    /// row-band tiles.
+    ///
+    /// The accumulator grids come from (and, via
+    /// [`SurveyScratch::recycle`](crate::SurveyScratch::recycle), return
+    /// to) the scratch, so repeated calls allocate nothing once the
+    /// buffers have grown to the largest lattice. For each beacon in
+    /// insertion order the sweep walks the lattice points of its
+    /// `max_range` disk; a point inside the model's
+    /// [`guaranteed_range`](Propagation::guaranteed_range) is heard
+    /// without asking `connected` (an exact shortcut, see the trait), any
+    /// other point asks `connected`.
+    ///
+    /// `threads` follows the workspace convention: `0` means all
+    /// available cores, `<= 1` the plain sequential sweep. With more
+    /// workers the lattice is split into row bands (about four per
+    /// worker, for load balance); each band runs the same per-beacon walk
+    /// over its own rows, owns disjoint grid slices, and derives its
+    /// errors in the same pass.
+    ///
+    /// **Bit-identical at any thread count, and to
+    /// [`ErrorMap::survey_point_major`]**: every point folds its heard
+    /// beacons in insertion order, whichever band visits it. Asserted by
+    /// tests here, in `scratch.rs`, the proptests, and at scale in
+    /// `tests/indexing.rs`.
+    pub fn survey_with(
+        lattice: &Lattice,
+        field: &BeaconField,
+        model: &dyn Propagation,
+        policy: UnheardPolicy,
+        scratch: &mut crate::SurveyScratch,
+        threads: usize,
+    ) -> Self {
+        let workers = crate::tiles::resolve_survey_threads(threads);
+        let n = lattice.len();
+        let mut sum_x = std::mem::take(&mut scratch.sum_x);
+        let mut sum_y = std::mem::take(&mut scratch.sum_y);
+        let mut count = std::mem::take(&mut scratch.count);
+        let mut errors = std::mem::take(&mut scratch.errors);
+        for buf in [&mut sum_x, &mut sum_y, &mut errors] {
+            buf.clear();
+            buf.resize(n, 0.0);
+        }
+        count.clear();
+        count.resize(n, 0);
+
+        if workers <= 1 {
+            {
+                let _span = abp_trace::span!("radio.connectivity_sweep");
+                let mut band = Band {
+                    j_lo: 0,
+                    j_hi: lattice.per_side() - 1,
+                    sum_x: &mut sum_x,
+                    sum_y: &mut sum_y,
+                    count: &mut count,
+                    errors: &mut errors,
+                };
+                abp_radio::metrics::LINKS_TESTED.add(band.sweep(lattice, field, model));
+            }
+            let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
+            map.derive_all_errors();
+            return map;
+        }
+
+        let per_side = lattice.per_side() as usize;
+        let bands = crate::tiles::row_bands(per_side, workers * 4);
+        let tasks = Band::split(
+            per_side,
+            &bands,
+            &mut sum_x,
+            &mut sum_y,
+            &mut count,
+            &mut errors,
+        );
+        let visited = AtomicU64::new(0);
+        {
+            // The banded pass fuses sweep + error derivation into one band
+            // traversal; the fused work reports under the sweep span.
+            let _span = abp_trace::span!("radio.connectivity_sweep");
+            crate::tiles::run_pool(tasks, workers, |_, mut band| {
+                visited.fetch_add(band.sweep(lattice, field, model), Ordering::Relaxed);
+                let base = band.j_lo as usize * per_side;
+                for off in 0..band.errors.len() {
+                    band.errors[off] = derive_error_at(
+                        lattice,
+                        policy,
+                        base + off,
+                        band.sum_x[off],
+                        band.sum_y[off],
+                        band.count[off],
+                    );
+                }
+            });
+            abp_radio::metrics::LINKS_TESTED.add(visited.load(Ordering::Relaxed));
+        }
+        ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors)
+    }
+
+    /// Former name of [`ErrorMap::survey_with`] on one thread.
+    #[doc(hidden)]
+    pub fn survey_indexed_with(
+        lattice: &Lattice,
+        field: &BeaconField,
+        model: &dyn Propagation,
+        policy: UnheardPolicy,
+        scratch: &mut crate::SurveyScratch,
+    ) -> Self {
+        Self::survey_with(lattice, field, model, policy, scratch, 1)
+    }
+
+    /// Former name of [`ErrorMap::survey_with`].
+    #[doc(hidden)]
+    pub fn survey_indexed_with_threads(
+        lattice: &Lattice,
+        field: &BeaconField,
+        model: &dyn Propagation,
+        policy: UnheardPolicy,
+        scratch: &mut crate::SurveyScratch,
+        threads: usize,
+    ) -> Self {
+        Self::survey_with(lattice, field, model, policy, scratch, threads)
     }
 
     /// Reference implementation: runs an arbitrary [`Localizer`] at every
@@ -723,26 +388,6 @@ impl ErrorMap {
         (self.sum_x, self.sum_y, self.count, self.errors)
     }
 
-    /// Adds one beacon's contribution to the accumulators (no error
-    /// derivation).
-    fn accumulate_beacon(&mut self, b: &Beacon, model: &dyn Propagation) {
-        let reach = model.max_range(b.tx(), b.pos());
-        let (bx, by) = (b.pos().x, b.pos().y);
-        let tx = b.tx();
-        let lattice = self.lattice;
-        let mut tested = 0u64;
-        lattice.for_each_in_disk(Disk::new(b.pos(), reach), |ix, p| {
-            tested += 1;
-            if model.connected(tx, b.pos(), p) {
-                let flat = lattice.flat(ix);
-                self.sum_x[flat] += bx;
-                self.sum_y[flat] += by;
-                self.count[flat] += 1;
-            }
-        });
-        abp_radio::metrics::LINKS_TESTED.add(tested);
-    }
-
     /// Incrementally re-surveys after `beacon` was added to the field:
     /// only lattice points inside the beacon's maximum range are updated.
     ///
@@ -753,33 +398,7 @@ impl ErrorMap {
     /// update incrementally.
     pub fn add_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
         let _span = abp_trace::span!("radio.incremental_update");
-        let reach = model.max_range(beacon.tx(), beacon.pos());
-        let (bx, by) = (beacon.pos().x, beacon.pos().y);
-        let tx = beacon.tx();
-        let lattice = self.lattice;
-        let mut touched = Vec::new();
-        let mut bounds: Option<(LatticeIndex, LatticeIndex)> = None;
-        let mut tested = 0u64;
-        lattice.for_each_in_disk(Disk::new(beacon.pos(), reach), |ix, p| {
-            tested += 1;
-            if model.connected(tx, beacon.pos(), p) {
-                let flat = lattice.flat(ix);
-                self.sum_x[flat] += bx;
-                self.sum_y[flat] += by;
-                self.count[flat] += 1;
-                touched.push(flat);
-                Self::grow_bounds(&mut bounds, ix);
-            }
-        });
-        abp_radio::metrics::LINKS_TESTED.add(tested);
-        let delta = SurveyDelta {
-            changed: bounds,
-            touched: touched.len(),
-        };
-        for flat in touched {
-            self.errors[flat] = self.derive_error(flat);
-        }
-        delta
+        self.update_beacon(beacon, model, true)
     }
 
     /// Incrementally removes a beacon's contribution (the inverse of
@@ -787,31 +406,7 @@ impl ErrorMap {
     /// when a beacon turns passive and by fault experiments when one dies.
     /// Returns the changed region, like [`ErrorMap::add_beacon`].
     pub fn remove_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
-        let reach = model.max_range(beacon.tx(), beacon.pos());
-        let (bx, by) = (beacon.pos().x, beacon.pos().y);
-        let tx = beacon.tx();
-        let lattice = self.lattice;
-        let mut touched = Vec::new();
-        let mut bounds: Option<(LatticeIndex, LatticeIndex)> = None;
-        lattice.for_each_in_disk(Disk::new(beacon.pos(), reach), |ix, p| {
-            if model.connected(tx, beacon.pos(), p) {
-                let flat = lattice.flat(ix);
-                debug_assert!(self.count[flat] > 0, "removing unaccounted beacon");
-                self.sum_x[flat] -= bx;
-                self.sum_y[flat] -= by;
-                self.count[flat] -= 1;
-                touched.push(flat);
-                Self::grow_bounds(&mut bounds, ix);
-            }
-        });
-        let delta = SurveyDelta {
-            changed: bounds,
-            touched: touched.len(),
-        };
-        for flat in touched {
-            self.errors[flat] = self.derive_error(flat);
-        }
-        delta
+        self.update_beacon(beacon, model, false)
     }
 
     /// [`ErrorMap::remove_beacon`] under its fault-experiment name: the
@@ -858,6 +453,34 @@ impl ErrorMap {
         self.update_beacon_banded(beacon, model, workers, false)
     }
 
+    /// The sequential single-beacon update: one band covering the whole
+    /// lattice.
+    fn update_beacon(
+        &mut self,
+        beacon: &Beacon,
+        model: &dyn Propagation,
+        add: bool,
+    ) -> SurveyDelta {
+        let lattice = self.lattice;
+        let policy = self.policy;
+        let mut band = Band {
+            j_lo: 0,
+            j_hi: lattice.per_side() - 1,
+            sum_x: &mut self.sum_x,
+            sum_y: &mut self.sum_y,
+            count: &mut self.count,
+            errors: &mut self.errors,
+        };
+        let out = band.update(&lattice, policy, beacon, model, add);
+        if add {
+            abp_radio::metrics::LINKS_TESTED.add(out.visited);
+        }
+        SurveyDelta {
+            changed: out.bounds,
+            touched: out.touched,
+        }
+    }
+
     /// The banded single-beacon update: row bands of the coverage disk,
     /// disjoint grid slices per band, one result slot per band merged in
     /// band order after the pool drains.
@@ -869,12 +492,9 @@ impl ErrorMap {
         add: bool,
     ) -> SurveyDelta {
         let reach = model.max_range(beacon.tx(), beacon.pos());
-        let disk = Disk::new(beacon.pos(), reach);
-        let (bx, by) = (beacon.pos().x, beacon.pos().y);
-        let tx = beacon.tx();
         let lattice = self.lattice;
         let policy = self.policy;
-        let c = disk.center();
+        let c = beacon.pos();
         let Some((j_lo, j_hi)) = lattice.index_span(c.y - reach, c.y + reach) else {
             if add {
                 abp_radio::metrics::LINKS_TESTED.add(0);
@@ -882,103 +502,32 @@ impl ErrorMap {
             return SurveyDelta::EMPTY;
         };
         let per_side = lattice.per_side() as usize;
-        let rows = (j_hi - j_lo + 1) as usize;
-        let bands = crate::tiles::row_bands(rows, workers * 4);
-
-        #[derive(Default)]
-        struct BandOut {
-            tested: u64,
-            touched: usize,
-            bounds: Option<(LatticeIndex, LatticeIndex)>,
-        }
-        struct Band<'a> {
-            j_lo: u32,
-            j_hi: u32,
-            sum_x: &'a mut [f64],
-            sum_y: &'a mut [f64],
-            count: &'a mut [u32],
-            errors: &'a mut [f64],
-            out: &'a mut BandOut,
-        }
-
-        let mut outs: Vec<BandOut> = Vec::with_capacity(bands.len());
-        outs.resize_with(bands.len(), BandOut::default);
-        let mut tasks: Vec<Band<'_>> = Vec::with_capacity(bands.len());
-        {
-            let mut rx: &mut [f64] = &mut self.sum_x;
-            let mut ry: &mut [f64] = &mut self.sum_y;
-            let mut rc: &mut [u32] = &mut self.count;
-            let mut re: &mut [f64] = &mut self.errors;
-            let mut ro: &mut [BandOut] = &mut outs;
-            let mut consumed = 0usize;
-            for &(start, len) in &bands {
-                let begin = (j_lo as usize + start) * per_side;
-                let skip = begin - consumed;
-                let flats = len * per_side;
-                let (_, r) = std::mem::take(&mut rx).split_at_mut(skip);
-                let (hx, r) = r.split_at_mut(flats);
-                rx = r;
-                let (_, r) = std::mem::take(&mut ry).split_at_mut(skip);
-                let (hy, r) = r.split_at_mut(flats);
-                ry = r;
-                let (_, r) = std::mem::take(&mut rc).split_at_mut(skip);
-                let (hc, r) = r.split_at_mut(flats);
-                rc = r;
-                let (_, r) = std::mem::take(&mut re).split_at_mut(skip);
-                let (he, r) = r.split_at_mut(flats);
-                re = r;
-                let (out, rest) = std::mem::take(&mut ro).split_first_mut().expect("out slot");
-                ro = rest;
-                consumed = begin + flats;
-                tasks.push(Band {
-                    j_lo: (j_lo as usize + start) as u32,
-                    j_hi: (j_lo as usize + start + len - 1) as u32,
-                    sum_x: hx,
-                    sum_y: hy,
-                    count: hc,
-                    errors: he,
-                    out,
-                });
-            }
-        }
-
-        crate::tiles::run_pool(tasks, workers, |_, t| {
-            let base = t.j_lo as usize * per_side;
-            lattice.for_each_in_disk_rows(disk, t.j_lo, t.j_hi, |ix, p| {
-                if add {
-                    t.out.tested += 1;
-                }
-                if model.connected(tx, beacon.pos(), p) {
-                    let off = lattice.flat(ix) - base;
-                    if add {
-                        t.sum_x[off] += bx;
-                        t.sum_y[off] += by;
-                        t.count[off] += 1;
-                    } else {
-                        debug_assert!(t.count[off] > 0, "removing unaccounted beacon");
-                        t.sum_x[off] -= bx;
-                        t.sum_y[off] -= by;
-                        t.count[off] -= 1;
-                    }
-                    t.errors[off] = derive_error_at(
-                        &lattice,
-                        policy,
-                        base + off,
-                        t.sum_x[off],
-                        t.sum_y[off],
-                        t.count[off],
-                    );
-                    t.out.touched += 1;
-                    Self::grow_bounds(&mut t.out.bounds, ix);
-                }
-            });
+        let bands: Vec<(usize, usize)> =
+            crate::tiles::row_bands((j_hi - j_lo + 1) as usize, workers * 4)
+                .into_iter()
+                .map(|(start, rows)| (j_lo as usize + start, rows))
+                .collect();
+        let mut outs: Vec<BandUpdate> = vec![BandUpdate::default(); bands.len()];
+        let tasks: Vec<_> = Band::split(
+            per_side,
+            &bands,
+            &mut self.sum_x,
+            &mut self.sum_y,
+            &mut self.count,
+            &mut self.errors,
+        )
+        .into_iter()
+        .zip(outs.iter_mut())
+        .collect();
+        crate::tiles::run_pool(tasks, workers, |_, (mut band, out)| {
+            *out = band.update(&lattice, policy, beacon, model, add);
         });
 
         let mut bounds: Option<(LatticeIndex, LatticeIndex)> = None;
         let mut touched = 0usize;
-        let mut tested = 0u64;
+        let mut visited = 0u64;
         for out in &outs {
-            tested += out.tested;
+            visited += out.visited;
             touched += out.touched;
             if let Some((lo, hi)) = out.bounds {
                 Self::grow_bounds(&mut bounds, lo);
@@ -986,7 +535,7 @@ impl ErrorMap {
             }
         }
         if add {
-            abp_radio::metrics::LINKS_TESTED.add(tested);
+            abp_radio::metrics::LINKS_TESTED.add(visited);
         }
         SurveyDelta {
             changed: bounds,
@@ -1002,6 +551,14 @@ impl ErrorMap {
                 LatticeIndex::new(hi.i.max(ix.i), hi.j.max(ix.j)),
             ),
         });
+    }
+
+    /// Derives every point's error from its accumulators.
+    fn derive_all_errors(&mut self) {
+        let _span = abp_trace::span!("localize.derive_errors");
+        for flat in 0..self.len() {
+            self.errors[flat] = self.derive_error(flat);
+        }
     }
 
     fn derive_error(&self, flat: usize) -> f64 {
@@ -1242,6 +799,159 @@ impl ErrorMap {
     }
 }
 
+/// Walks the lattice points of `beacon`'s `max_range` disk within rows
+/// `j_lo..=j_hi`, calling `heard(index)` for each point that hears it;
+/// returns the number of points visited — the survey kernel every
+/// sweep and incremental update shares.
+///
+/// A point within the model's
+/// [`guaranteed_range`](Propagation::guaranteed_range) (tested as
+/// `distance_squared <= g * g`, the trait's exact form) is heard without
+/// a `connected` call; every other point asks `connected`.
+pub(crate) fn for_each_heard_in_rows(
+    lattice: &Lattice,
+    beacon: &Beacon,
+    model: &dyn Propagation,
+    j_lo: u32,
+    j_hi: u32,
+    mut heard: impl FnMut(LatticeIndex),
+) -> u64 {
+    let (tx, pos) = (beacon.tx(), beacon.pos());
+    let reach = model.max_range(tx, pos);
+    let Some((lo, hi)) = lattice.index_span(pos.y - reach, pos.y + reach) else {
+        return 0;
+    };
+    let (lo, hi) = (lo.max(j_lo), hi.min(j_hi));
+    if lo > hi {
+        return 0;
+    }
+    let g2 = model
+        .guaranteed_range(tx, pos)
+        .map_or(f64::NEG_INFINITY, |g| g * g);
+    let mut visited = 0u64;
+    lattice.for_each_in_disk_rows(Disk::new(pos, reach), lo, hi, |ix, p| {
+        visited += 1;
+        if pos.distance_squared(p) <= g2 || model.connected(tx, pos, p) {
+            heard(ix);
+        }
+    });
+    visited
+}
+
+/// A run of whole lattice rows `j_lo..=j_hi` and the grid slices that
+/// cover them (band-local: index `flat - j_lo * per_side`).
+struct Band<'a> {
+    j_lo: u32,
+    j_hi: u32,
+    sum_x: &'a mut [f64],
+    sum_y: &'a mut [f64],
+    count: &'a mut [u32],
+    errors: &'a mut [f64],
+}
+
+/// One band's share of a single-beacon update.
+#[derive(Debug, Clone, Copy, Default)]
+struct BandUpdate {
+    visited: u64,
+    touched: usize,
+    bounds: Option<(LatticeIndex, LatticeIndex)>,
+}
+
+impl<'a> Band<'a> {
+    /// Splits full-lattice grids into disjoint bands, one per
+    /// `(first_row, rows)` entry (ascending, non-overlapping).
+    fn split(
+        per_side: usize,
+        bands: &[(usize, usize)],
+        sum_x: &'a mut [f64],
+        sum_y: &'a mut [f64],
+        count: &'a mut [u32],
+        errors: &'a mut [f64],
+    ) -> Vec<Band<'a>> {
+        fn carve<'s, T>(rest: &mut &'s mut [T], skip: usize, len: usize) -> &'s mut [T] {
+            let (head, tail) = std::mem::take(rest)[skip..].split_at_mut(len);
+            *rest = tail;
+            head
+        }
+        let (mut rx, mut ry, mut rc, mut re) = (sum_x, sum_y, count, errors);
+        let mut consumed = 0usize;
+        let mut out = Vec::with_capacity(bands.len());
+        for &(first, rows) in bands {
+            let (skip, len) = (first * per_side - consumed, rows * per_side);
+            consumed = (first + rows) * per_side;
+            out.push(Band {
+                j_lo: first as u32,
+                j_hi: (first + rows - 1) as u32,
+                sum_x: carve(&mut rx, skip, len),
+                sum_y: carve(&mut ry, skip, len),
+                count: carve(&mut rc, skip, len),
+                errors: carve(&mut re, skip, len),
+            });
+        }
+        out
+    }
+
+    /// Accumulates every beacon of `field`, in insertion order, into
+    /// this band's rows (no error derivation); returns points visited.
+    fn sweep(&mut self, lattice: &Lattice, field: &BeaconField, model: &dyn Propagation) -> u64 {
+        let base = self.j_lo as usize * lattice.per_side() as usize;
+        let mut visited = 0u64;
+        for b in field {
+            let (bx, by) = (b.pos().x, b.pos().y);
+            visited += for_each_heard_in_rows(lattice, b, model, self.j_lo, self.j_hi, |ix| {
+                let off = lattice.flat(ix) - base;
+                self.sum_x[off] += bx;
+                self.sum_y[off] += by;
+                self.count[off] += 1;
+            });
+        }
+        visited
+    }
+
+    /// Adds (or removes) one beacon's contribution to this band's rows
+    /// and re-derives the errors of the points it touched.
+    fn update(
+        &mut self,
+        lattice: &Lattice,
+        policy: UnheardPolicy,
+        beacon: &Beacon,
+        model: &dyn Propagation,
+        add: bool,
+    ) -> BandUpdate {
+        let (bx, by) = (beacon.pos().x, beacon.pos().y);
+        let base = self.j_lo as usize * lattice.per_side() as usize;
+        let (mut touched, mut bounds) = (0usize, None);
+        let visited = for_each_heard_in_rows(lattice, beacon, model, self.j_lo, self.j_hi, |ix| {
+            let off = lattice.flat(ix) - base;
+            if add {
+                self.sum_x[off] += bx;
+                self.sum_y[off] += by;
+                self.count[off] += 1;
+            } else {
+                debug_assert!(self.count[off] > 0, "removing unaccounted beacon");
+                self.sum_x[off] -= bx;
+                self.sum_y[off] -= by;
+                self.count[off] -= 1;
+            }
+            self.errors[off] = derive_error_at(
+                lattice,
+                policy,
+                base + off,
+                self.sum_x[off],
+                self.sum_y[off],
+                self.count[off],
+            );
+            touched += 1;
+            ErrorMap::grow_bounds(&mut bounds, ix);
+        });
+        BandUpdate {
+            visited,
+            touched,
+            bounds,
+        }
+    }
+}
+
 /// Derives one lattice point's localization error from its accumulator
 /// values — the exact arithmetic of `ErrorMap::derive_error`, exposed as
 /// a free function so survey tiles (which hold band-local slices, not a
@@ -1375,58 +1085,49 @@ mod tests {
     }
 
     #[test]
-    fn four_sweeps_bit_identical() {
+    fn survey_matches_point_major_oracle_at_any_thread_count() {
         let lat = lattice(2.0);
         let mut rng = StdRng::seed_from_u64(17);
         let field = BeaconField::random_uniform(60, terrain(), &mut rng);
         let mut scratch = crate::SurveyScratch::new();
-        let mut scratch_mt = crate::SurveyScratch::new();
+        let ideal = IdealDisk::new(15.0);
         for noise in [0.0, 0.4] {
-            let model = PerBeaconNoise::new(15.0, noise, 5);
-            for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
-                let beacon_major = ErrorMap::survey(&lat, &field, &model, policy);
-                let brute = ErrorMap::survey_point_major(&lat, &field, &model, policy);
-                let indexed = ErrorMap::survey_indexed(&lat, &field, &model, policy);
-                let scratched =
-                    ErrorMap::survey_indexed_with(&lat, &field, &model, policy, &mut scratch);
-                assert_bit_identical(&beacon_major, &brute, "beacon-major vs point-major");
-                assert_bit_identical(&brute, &indexed, "point-major vs indexed");
-                assert_bit_identical(&indexed, &scratched, "indexed vs scratch-reused");
-                scratch.recycle(scratched);
-                // The tiled scheduler at several thread counts — more
-                // workers than cores is fine (oversubscription changes
-                // only scheduling, never bits).
-                for threads in [2usize, 3, 4] {
-                    let tiled = ErrorMap::survey_indexed_with_threads(
-                        &lat,
-                        &field,
-                        &model,
-                        policy,
-                        &mut scratch_mt,
-                        threads,
-                    );
-                    assert_bit_identical(
-                        &indexed,
-                        &tiled,
-                        &format!("indexed vs tiled {threads}-thread"),
-                    );
-                    scratch_mt.recycle(tiled);
+            let noisy = PerBeaconNoise::new(15.0, noise, 5);
+            for model in [&ideal as &dyn Propagation, &noisy] {
+                for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
+                    let oracle = ErrorMap::survey_point_major(&lat, &field, model, policy);
+                    let fresh = ErrorMap::survey(&lat, &field, model, policy);
+                    assert_bit_identical(&oracle, &fresh, "fresh survey vs point-major");
+                    // More workers than cores is fine: oversubscription
+                    // changes only scheduling, never bits.
+                    for threads in [1usize, 2, 3, 4] {
+                        let map = ErrorMap::survey_with(
+                            &lat,
+                            &field,
+                            model,
+                            policy,
+                            &mut scratch,
+                            threads,
+                        );
+                        assert_bit_identical(&oracle, &map, &format!("{threads}-thread survey"));
+                        scratch.recycle(map);
+                    }
                 }
             }
         }
     }
 
-    /// A noisy model forces `disk_exact() == false`, so the tiled pass
-    /// runs the oracle kernel — it must be bit-identical too (covered
-    /// above), and so must an *empty* field through the tiled path.
+    /// The banded pass on an empty field: every band sweeps nothing and
+    /// still derives its policy errors.
     #[test]
     fn tiled_survey_handles_empty_field() {
         let lat = lattice(10.0);
         let field = BeaconField::new(terrain());
         let model = IdealDisk::new(15.0);
         let mut scratch = crate::SurveyScratch::new();
-        let fresh = ErrorMap::survey_indexed(&lat, &field, &model, UnheardPolicy::TerrainCenter);
-        let tiled = ErrorMap::survey_indexed_with_threads(
+        let oracle =
+            ErrorMap::survey_point_major(&lat, &field, &model, UnheardPolicy::TerrainCenter);
+        let tiled = ErrorMap::survey_with(
             &lat,
             &field,
             &model,
@@ -1434,7 +1135,67 @@ mod tests {
             &mut scratch,
             4,
         );
-        assert_bit_identical(&fresh, &tiled, "empty field tiled");
+        assert_bit_identical(&oracle, &tiled, "empty field tiled");
+    }
+
+    /// The guaranteed core replaces `connected` calls without changing a
+    /// bit: the ideal disk never asks `connected`, the noisy model asks
+    /// it less often, and both maps equal the same model's survey with
+    /// the guarantee withheld.
+    #[test]
+    fn guaranteed_core_skips_connected_calls() {
+        use std::sync::atomic::AtomicUsize;
+        struct Counting<'a> {
+            inner: &'a dyn Propagation,
+            calls: AtomicUsize,
+            guarantee: bool,
+        }
+        impl Propagation for Counting<'_> {
+            fn connected(&self, tx: abp_radio::TxId, p: Point, rx: Point) -> bool {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                self.inner.connected(tx, p, rx)
+            }
+            fn max_range(&self, tx: abp_radio::TxId, p: Point) -> f64 {
+                self.inner.max_range(tx, p)
+            }
+            fn nominal_range(&self) -> f64 {
+                self.inner.nominal_range()
+            }
+            fn guaranteed_range(&self, tx: abp_radio::TxId, p: Point) -> Option<f64> {
+                self.guarantee
+                    .then(|| self.inner.guaranteed_range(tx, p))
+                    .flatten()
+            }
+        }
+        let lat = lattice(1.0);
+        let field = BeaconField::from_positions(terrain(), [Point::new(50.0, 50.0)]);
+        let ideal = IdealDisk::new(15.0);
+        let noisy = PerBeaconNoise::new(15.0, 0.5, 3);
+        for (model, max_calls_with) in [(&ideal as &dyn Propagation, 0), (&noisy, usize::MAX)] {
+            let with = Counting {
+                inner: model,
+                calls: AtomicUsize::new(0),
+                guarantee: true,
+            };
+            let without = Counting {
+                guarantee: false,
+                calls: AtomicUsize::new(0),
+                ..with
+            };
+            let policy = UnheardPolicy::TerrainCenter;
+            let a = ErrorMap::survey(&lat, &field, &with, policy);
+            let b = ErrorMap::survey(&lat, &field, &without, policy);
+            assert_bit_identical(&a, &b, "with vs without the guarantee");
+            let (with_calls, without_calls) = (
+                with.calls.load(Ordering::Relaxed),
+                without.calls.load(Ordering::Relaxed),
+            );
+            assert!(with_calls <= max_calls_with, "{with_calls}");
+            assert!(
+                with_calls < without_calls,
+                "{with_calls} vs {without_calls}"
+            );
+        }
     }
 
     #[test]

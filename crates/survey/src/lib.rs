@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod errormap;
-pub mod lanes;
 pub mod plan;
 pub mod render;
 pub mod robot;
@@ -49,7 +48,6 @@ pub mod snapshot;
 pub mod tiles;
 
 pub use errormap::{ErrorMap, SurveyAccounting, SurveyDelta};
-pub use lanes::{SweepLane, LANES};
 pub use plan::SurveyPlan;
 pub use robot::{Robot, RobotReport};
 pub use sampling::SubsampleStrategy;

@@ -177,16 +177,14 @@ impl Robot {
         let mut sum_x = vec![0.0; n];
         let mut sum_y = vec![0.0; n];
         let mut count = vec![0u32; n];
-        // Beacon-major accumulation (same sweep as ErrorMap::survey).
+        // Beacon-major accumulation (the kernel of ErrorMap::survey).
+        let last_row = lattice.per_side() - 1;
         for b in field {
-            let reach = model.max_range(b.tx(), b.pos());
-            lattice.for_each_in_disk(abp_geom::Disk::new(b.pos(), reach), |ix, p| {
-                if model.connected(b.tx(), b.pos(), p) {
-                    let flat = lattice.flat(ix);
-                    sum_x[flat] += b.pos().x;
-                    sum_y[flat] += b.pos().y;
-                    count[flat] += 1;
-                }
+            crate::errormap::for_each_heard_in_rows(&lattice, b, model, 0, last_row, |ix| {
+                let flat = lattice.flat(ix);
+                sum_x[flat] += b.pos().x;
+                sum_y[flat] += b.pos().y;
+                count[flat] += 1;
             });
         }
         // Walk the plan: derive each waypoint's error against the GPS fix.

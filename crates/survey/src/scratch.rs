@@ -1,19 +1,17 @@
 //! Reusable survey buffers for allocation-free steady-state sweeps.
 
 use crate::errormap::ErrorMap;
-use crate::lanes::SweepLane;
-use abp_field::{BeaconSoA, CellIndex};
 
 /// Every buffer a full survey needs, owned once and recycled across
-/// trials: the four error-map accumulator grids, the quantile selection
-/// workspace, the [`BeaconSoA`] mirror, and the spatial index.
+/// trials: the four error-map accumulator grids and the quantile
+/// selection workspace.
 ///
 /// The Monte-Carlo engine keeps one `SurveyScratch` per worker thread
-/// (see `abp-sim`); [`ErrorMap::survey_indexed_with`] drains the grid
-/// buffers into the map it returns, and [`SurveyScratch::recycle`] takes
-/// them back when the caller is done reading the map. Once the scratch
-/// has passed through one trial at the sweep's largest field and lattice,
-/// every later trial runs without touching the allocator.
+/// (see `abp-sim`); [`ErrorMap::survey_with`] drains the grid buffers
+/// into the map it returns, and [`SurveyScratch::recycle`] takes them
+/// back when the caller is done reading the map. Once the scratch has
+/// passed through one trial at the sweep's largest lattice, every later
+/// trial runs without touching the allocator.
 ///
 /// # Example
 ///
@@ -30,8 +28,8 @@ use abp_field::{BeaconSoA, CellIndex};
 /// let model = IdealDisk::new(15.0);
 ///
 /// let mut scratch = SurveyScratch::new();
-/// let map = ErrorMap::survey_indexed_with(
-///     &lattice, &field, &model, UnheardPolicy::TerrainCenter, &mut scratch);
+/// let map = ErrorMap::survey_with(
+///     &lattice, &field, &model, UnheardPolicy::TerrainCenter, &mut scratch, 1);
 /// let median = scratch.median_error(&map);
 /// assert_eq!(
 ///     median.to_bits(),
@@ -49,15 +47,6 @@ pub struct SurveyScratch {
     pub(crate) errors: Vec<f64>,
     /// Selection workspace for [`SurveyScratch::median_error`].
     pub(crate) quantiles: Vec<f64>,
-    /// Dense `xs`/`ys`/`reach²` mirror for the tiled disk sweep.
-    pub(crate) soa: BeaconSoA,
-    /// The per-trial spatial index, rebuilt in place each trial.
-    pub(crate) index: Option<CellIndex>,
-    /// Packed-candidate columns, one per survey tile: lane 0 serves the
-    /// single-thread sweep; the tiled scheduler takes one lane per tile
-    /// so workers never share pack buffers. Retained across trials like
-    /// every other buffer here.
-    pub(crate) tile_lanes: Vec<SweepLane>,
 }
 
 impl SurveyScratch {
@@ -68,7 +57,7 @@ impl SurveyScratch {
     }
 
     /// Takes an [`ErrorMap`]'s grid buffers back into the scratch so the
-    /// next [`ErrorMap::survey_indexed_with`] call reuses them instead of
+    /// next [`ErrorMap::survey_with`] call reuses them instead of
     /// allocating. Call this once the map's statistics have been read.
     ///
     /// Recycling a map that was *not* produced from this scratch is fine
@@ -133,9 +122,9 @@ mod tests {
         }
     }
 
-    /// The scratch path must be bit-identical to the plain indexed path,
-    /// across repeated reuse over different fields, on both the
-    /// disk-exact kernel and the noisy oracle kernel.
+    /// The scratch path must be bit-identical to the point-major oracle,
+    /// across repeated reuse over different fields, with and without
+    /// noise.
     #[test]
     fn scratch_reuse_is_bit_identical_across_trials() {
         let lat = Lattice::new(Terrain::square(100.0), 4.0);
@@ -152,8 +141,8 @@ mod tests {
             let f = field(n, seed);
             let model = PerBeaconNoise::new(15.0, noise, 7);
             for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
-                let fresh = ErrorMap::survey_indexed(&lat, &f, &model, policy);
-                let reused = ErrorMap::survey_indexed_with(&lat, &f, &model, policy, &mut scratch);
+                let fresh = ErrorMap::survey_point_major(&lat, &f, &model, policy);
+                let reused = ErrorMap::survey_with(&lat, &f, &model, policy, &mut scratch, 1);
                 assert_bit_identical(&fresh, &reused, &format!("trial {trial} {policy:?}"));
                 assert_eq!(
                     scratch.median_error(&reused).to_bits(),
@@ -174,34 +163,37 @@ mod tests {
         for step in [10.0, 2.0, 5.0] {
             let lat = Lattice::new(Terrain::square(100.0), step);
             let f = field(30, 11);
-            let fresh = ErrorMap::survey_indexed(&lat, &f, &model, UnheardPolicy::TerrainCenter);
-            let reused = ErrorMap::survey_indexed_with(
+            let fresh =
+                ErrorMap::survey_point_major(&lat, &f, &model, UnheardPolicy::TerrainCenter);
+            let reused = ErrorMap::survey_with(
                 &lat,
                 &f,
                 &model,
                 UnheardPolicy::TerrainCenter,
                 &mut scratch,
+                1,
             );
             assert_bit_identical(&fresh, &reused, &format!("step {step}"));
             scratch.recycle(reused);
         }
     }
 
-    /// An empty field through the scratch path matches the fresh path.
+    /// An empty field through the scratch path matches the oracle.
     #[test]
     fn scratch_handles_empty_field() {
         let lat = Lattice::new(Terrain::square(100.0), 10.0);
         let f = BeaconField::new(Terrain::square(100.0));
         let model = IdealDisk::new(15.0);
         let mut scratch = SurveyScratch::new();
-        let reused = ErrorMap::survey_indexed_with(
+        let reused = ErrorMap::survey_with(
             &lat,
             &f,
             &model,
             UnheardPolicy::TerrainCenter,
             &mut scratch,
+            1,
         );
-        let fresh = ErrorMap::survey_indexed(&lat, &f, &model, UnheardPolicy::TerrainCenter);
+        let fresh = ErrorMap::survey_point_major(&lat, &f, &model, UnheardPolicy::TerrainCenter);
         assert_bit_identical(&fresh, &reused, "empty field");
     }
 }

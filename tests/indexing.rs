@@ -1,8 +1,9 @@
-//! Cross-crate guarantees of the grid-bin spatial index: every indexed
-//! hot path — the survey sweep, the connectivity oracle behind the
-//! localizers, and the incremental candidate scorers — must produce
-//! **bit-identical** results to its brute-force counterpart, at a scale
-//! where the index actually prunes.
+//! Cross-crate bit-identity gates at a scale where pruning matters: the
+//! production survey sweep against the point-major oracle (fresh,
+//! scratch-reused, and banded across threads), the grid-bin indexed
+//! connectivity oracle behind the localizers, and the incremental
+//! candidate scorers — each must produce **bit-identical** results to
+//! its brute-force counterpart.
 
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
@@ -42,57 +43,50 @@ fn assert_maps_bit_identical(a: &ErrorMap, b: &ErrorMap, what: &str) {
     }
 }
 
-/// The indexed survey sweep returns the exact bits of the brute sweeps,
-/// on both its specialized exact-disk path (`IdealDisk`) and its
-/// oracle path (`PerBeaconNoise`, where connectivity is not a sharp
-/// disk and every candidate still goes through `connected()`).
+/// The production survey sweep returns the exact bits of the
+/// point-major oracle, under the ideal disk (every point decided by the
+/// guaranteed range) and under per-beacon noise (the guaranteed core
+/// plus `connected()` in the annulus).
 #[test]
 fn indexed_survey_is_bit_identical_to_brute_at_scale() {
     let field = dense_field(100, 7);
     let lattice = Lattice::new(Terrain::square(SIDE), 2.0);
     let policy = UnheardPolicy::TerrainCenter;
-    let models: [(&str, Box<dyn Propagation>); 2] = [
+    for (what, model) in &models() {
+        let beacon_major = ErrorMap::survey(&lattice, &field, model, policy);
+        let point_major = ErrorMap::survey_point_major(&lattice, &field, model, policy);
+        assert_maps_bit_identical(&beacon_major, &point_major, what);
+    }
+}
+
+fn models() -> [(&'static str, Box<dyn Propagation>); 2] {
+    [
         ("ideal disk", Box::new(IdealDisk::new(RANGE))),
         (
             "per-beacon noise",
             Box::new(PerBeaconNoise::new(RANGE, 0.4, 11)),
         ),
-    ];
-    for (what, model) in &models {
-        let beacon_major = ErrorMap::survey(&lattice, &field, model, policy);
-        let point_major = ErrorMap::survey_point_major(&lattice, &field, model, policy);
-        let indexed = ErrorMap::survey_indexed(&lattice, &field, model, policy);
-        assert_maps_bit_identical(&beacon_major, &point_major, what);
-        assert_maps_bit_identical(&beacon_major, &indexed, what);
-    }
+    ]
 }
 
 /// The scratch-reused survey path — one `SurveyScratch` threaded
 /// through trial after trial, recycling each finished map's buffers,
 /// exactly as the Monte-Carlo engine's thread-local scratch does —
-/// returns the exact bits of a fresh survey on every trial, at scale,
-/// on both the tiled SoA disk path and the oracle path, across
-/// shrinking and growing fields and lattices.
+/// returns the exact bits of the point-major oracle on every trial, at
+/// scale, on both models, across shrinking and growing fields and
+/// lattices.
 #[test]
 fn scratch_reused_survey_is_bit_identical_to_fresh_at_scale() {
     let policy = UnheardPolicy::TerrainCenter;
-    let models: [(&str, Box<dyn Propagation>); 2] = [
-        ("ideal disk", Box::new(IdealDisk::new(RANGE))),
-        (
-            "per-beacon noise",
-            Box::new(PerBeaconNoise::new(RANGE, 0.4, 11)),
-        ),
-    ];
-    for (what, model) in &models {
+    for (what, model) in &models() {
         let mut scratch = SurveyScratch::new();
         // Vary field size, seed, and lattice step so reuse has to cope
         // with buffers growing and shrinking between trials.
         for (beacons, seed, step) in [(100, 7, 2.0), (30, 8, 4.0), (120, 9, 2.0), (60, 10, 1.0)] {
             let field = dense_field(beacons, seed);
             let lattice = Lattice::new(Terrain::square(SIDE), step);
-            let fresh = ErrorMap::survey_indexed(&lattice, &field, model, policy);
-            let reused =
-                ErrorMap::survey_indexed_with(&lattice, &field, model, policy, &mut scratch);
+            let fresh = ErrorMap::survey_point_major(&lattice, &field, model, policy);
+            let reused = ErrorMap::survey_with(&lattice, &field, model, policy, &mut scratch, 1);
             assert_maps_bit_identical(&fresh, &reused, &format!("{what} n={beacons}"));
             assert_eq!(
                 fresh.median_error().to_bits(),
@@ -104,37 +98,23 @@ fn scratch_reused_survey_is_bit_identical_to_fresh_at_scale() {
     }
 }
 
-/// The intra-survey tile scheduler returns the exact bits of the
-/// single-threaded sweep at paper scale, at every worker count, on
-/// both the SIMD disk path and the oracle path. (The container may
-/// expose a single core; oversubscribed worker counts change only the
-/// scheduling, never the per-tile arithmetic, so the gate is equally
-/// strong there.)
+/// The row-band tile pass returns the exact bits of the single-threaded
+/// sweep at paper scale, at every worker count, on both models. (The
+/// container may expose a single core; oversubscribed worker counts
+/// change only the scheduling, never the per-band arithmetic, so the
+/// gate is equally strong there.)
 #[test]
 fn tiled_survey_is_bit_identical_to_single_thread_at_scale() {
     let field = dense_field(100, 7);
     let lattice = Lattice::new(Terrain::square(SIDE), 1.0);
     let policy = UnheardPolicy::TerrainCenter;
-    let models: [(&str, Box<dyn Propagation>); 2] = [
-        ("ideal disk", Box::new(IdealDisk::new(RANGE))),
-        (
-            "per-beacon noise",
-            Box::new(PerBeaconNoise::new(RANGE, 0.4, 11)),
-        ),
-    ];
-    for (what, model) in &models {
+    for (what, model) in &models() {
         let mut seq_scratch = SurveyScratch::new();
-        let seq = ErrorMap::survey_indexed_with(&lattice, &field, model, policy, &mut seq_scratch);
+        let seq = ErrorMap::survey_with(&lattice, &field, model, policy, &mut seq_scratch, 1);
         let mut par_scratch = SurveyScratch::new();
         for threads in [2usize, 4, 8] {
-            let par = ErrorMap::survey_indexed_with_threads(
-                &lattice,
-                &field,
-                model,
-                policy,
-                &mut par_scratch,
-                threads,
-            );
+            let par =
+                ErrorMap::survey_with(&lattice, &field, model, policy, &mut par_scratch, threads);
             assert_maps_bit_identical(&seq, &par, &format!("{what} threads={threads}"));
             par_scratch.recycle(par);
         }

@@ -108,3 +108,48 @@ fn faulty_radio_composes_as_the_base_model() {
         plain.stats.messages_delivered
     );
 }
+
+/// The link-dropping wrappers outside `abp-radio` keep the default "no
+/// guaranteed range" even over a base model that has one, so the
+/// survey asks `connected` everywhere: a dead beacon sitting exactly on
+/// a lattice point (distance 0) stays unheard, and the message-counting
+/// oracle decides every link itself.
+#[test]
+fn link_dropping_wrappers_offer_no_guaranteed_range() {
+    use abp_field::BeaconField;
+    use abp_geom::{Lattice, LatticeIndex, Point, Terrain};
+    use abp_localize::UnheardPolicy;
+
+    let terrain = Terrain::square(40.0);
+    let disk = IdealDisk::new(15.0);
+    let on_lattice = Point::new(20.0, 20.0);
+    let field = BeaconField::from_positions(terrain, [on_lattice]);
+    let b = field.beacons()[0];
+    assert_eq!(disk.guaranteed_range(b.tx(), b.pos()), Some(15.0));
+
+    let dead_plan = FaultPlan {
+        mortality: Some(MortalityPlan {
+            death_rate: 1.0,
+            flap_rate: 0.0,
+            duty_cycle: 1.0,
+        }),
+        ..FaultPlan::none()
+    };
+    let dead = dead_plan.compile(3).wrap(disk, 0);
+    assert_eq!(dead.guaranteed_range(b.tx(), b.pos()), None);
+    let healthy = FaultPlan::none().compile(3).wrap(disk, 0);
+    assert_eq!(healthy.guaranteed_range(b.tx(), b.pos()), None);
+
+    let lattice = Lattice::new(terrain, 2.0);
+    let map = ErrorMap::survey(&lattice, &field, &dead, UnheardPolicy::TerrainCenter);
+    assert_eq!(
+        map.heard_at(LatticeIndex::new(10, 10)),
+        0,
+        "dead beacon heard at distance 0"
+    );
+    assert_eq!(map.unheard_count(), map.len());
+
+    let run = NetSim::run(&field, &disk, &NetConfig::always_on(), 3);
+    let oracle = run.oracle(&disk);
+    assert_eq!(oracle.guaranteed_range(b.tx(), b.pos()), None);
+}
