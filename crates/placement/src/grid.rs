@@ -1,7 +1,7 @@
 //! The Grid placement algorithm (paper §3.2.3).
 
 use crate::{PlacementAlgorithm, SurveyView};
-use abp_geom::{Point, Rect, Terrain};
+use abp_geom::{Lattice, Point, Rect, Terrain};
 use abp_survey::ErrorMap;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -28,8 +28,14 @@ use std::fmt;
 ///
 /// "While the Grid algorithm has the advantage that it can improve many
 /// points at once, it is computationally far more expensive than the Max
-/// and Random algorithms." Complexity `O(NG · PG)` where `PG` is the
-/// number of measured points per grid.
+/// and Random algorithms." The paper's cost is `O(NG · PG)`, where `PG`
+/// is the number of measured points per grid. The grids overlap, so
+/// [`GridPlacement::cumulative_errors`] sums each lattice row of each grid
+/// column band once and adds that subtotal to every grid of the band that
+/// holds the row: `O(√NG · rows · span + NG · rows_per_grid)`, where
+/// `rows` counts lattice rows and `span` the lattice columns per grid.
+/// At paper scale that is ≈ 75k additions instead of 384k, with
+/// bit-identical scores.
 ///
 /// Ties break toward the first grid in row-major center order, making the
 /// algorithm deterministic.
@@ -138,16 +144,101 @@ impl GridPlacement {
         Rect::square_centered(self.center(i, j), self.grid_side)
     }
 
+    /// The center of the grid at row-major position `flat`.
+    pub(crate) fn flat_center(&self, flat: usize) -> Point {
+        let n = self.per_side as usize;
+        self.center((flat % n) as u32, (flat / n) as u32)
+    }
+
+    /// The inclusive lattice-column span of grid column band `i`, or
+    /// `None` when the band holds no lattice column. Every grid `(i, _)`
+    /// covers exactly these columns.
+    pub(crate) fn col_span(&self, lattice: &Lattice, i: u32) -> Option<(u32, u32)> {
+        let r = self.grid_rect(i, 0);
+        lattice.index_span(r.min().x, r.max().x)
+    }
+
+    /// The inclusive lattice-row span of grid row `j`, or `None` when the
+    /// grid row holds no lattice row.
+    pub(crate) fn row_span(&self, lattice: &Lattice, j: u32) -> Option<(u32, u32)> {
+        let r = self.grid_rect(0, j);
+        lattice.index_span(r.min().y, r.max().y)
+    }
+
     /// Step 4: the cumulative error `S(i, j)` of every grid, row-major.
+    ///
+    /// Bit-identical to [`ErrorMap::cumulative_error_in`] over
+    /// [`GridPlacement::grid_rect`]`(i, j)`, which stays the reference.
     pub fn cumulative_errors(&self, map: &ErrorMap) -> Vec<f64> {
-        let n = self.per_side;
-        let mut out = Vec::with_capacity(self.num_grids());
-        for j in 0..n {
-            for i in 0..n {
-                out.push(map.cumulative_error_in(&self.grid_rect(i, j)));
+        // Up to 64 grids per side (NG ≤ 4096) keep their spans on the
+        // stack, so scoring allocates nothing beyond the scores.
+        let n = self.per_side as usize;
+        let mut inline = [None; 128];
+        let mut heap = Vec::new();
+        let spans = if 2 * n <= inline.len() {
+            &mut inline[..2 * n]
+        } else {
+            heap.resize(2 * n, None);
+            &mut heap[..]
+        };
+        let (col_spans, row_spans) = spans.split_at_mut(n);
+        let lattice = map.lattice();
+        for k in 0..self.per_side {
+            col_spans[k as usize] = self.col_span(lattice, k);
+            row_spans[k as usize] = self.row_span(lattice, k);
+        }
+        self.banded_scores(map, col_spans, row_spans, |_, _, _| {})
+    }
+
+    /// The banded kernel behind [`GridPlacement::cumulative_errors`], given
+    /// every grid column band's [`GridPlacement::col_span`] and every grid
+    /// row's [`GridPlacement::row_span`]. It walks the lattice rows bottom
+    /// to top; for each row `j` and band `i` it computes the row subtotal
+    /// `s = map.row_error_sum(j, i_lo, i_hi)` once, reports it as
+    /// `on_subtotal(i, j, s)` and adds it to every grid `(i, _)` whose row
+    /// span holds `j`. Each score so builds up as `((0.0 + s_lo) + …) +
+    /// s_hi`, the association [`ErrorMap::cumulative_error_in`] documents.
+    /// Rows no grid holds are skipped and not reported.
+    pub(crate) fn banded_scores(
+        &self,
+        map: &ErrorMap,
+        col_spans: &[Option<(u32, u32)>],
+        row_spans: &[Option<(u32, u32)>],
+        mut on_subtotal: impl FnMut(u32, u32, f64),
+    ) -> Vec<f64> {
+        let n = self.per_side as usize;
+        let mut scores = vec![0.0; self.num_grids()];
+        // Spans grow with the grid row, so the grid rows holding lattice
+        // row `j` are one run `first..end`.
+        let (mut first, mut end) = (0, 0);
+        for j in 0..map.lattice().per_side() {
+            // Admit the rows starting at or below `j`, stepping over empty
+            // rows (a grid narrower than the lattice step).
+            while let Some(g) = (end..n).find(|&g| row_spans[g].is_some()) {
+                match row_spans[g] {
+                    Some((lo, _)) if lo <= j => end = g + 1,
+                    _ => break,
+                }
+            }
+            // Retire the rows ending below `j`, and empty ones.
+            while first < end && row_spans[first].map_or(true, |(_, hi)| hi < j) {
+                first += 1;
+            }
+            if first == end {
+                continue;
+            }
+            for (i, span) in col_spans.iter().enumerate() {
+                let Some((i_lo, i_hi)) = *span else {
+                    continue;
+                };
+                let s = map.row_error_sum(j, i_lo, i_hi);
+                on_subtotal(i as u32, j, s);
+                for g in first..end {
+                    scores[g * n + i] += s;
+                }
             }
         }
-        out
+        scores
     }
 
     /// Steps 3–5 for the top `k` distinct grids: centers of the `k` grids
@@ -176,11 +267,7 @@ impl GridPlacement {
         });
         order[..k]
             .iter()
-            .map(|&flat| {
-                let i = (flat % self.per_side as usize) as u32;
-                let j = (flat / self.per_side as usize) as u32;
-                self.center(i, j)
-            })
+            .map(|&flat| self.flat_center(flat))
             .collect()
     }
 }
@@ -191,7 +278,18 @@ impl PlacementAlgorithm for GridPlacement {
     }
 
     fn propose(&self, view: &SurveyView<'_>, _rng: &mut dyn RngCore) -> Point {
-        self.propose_top_k(view.map, 1)[0]
+        let _span = abp_trace::span!("placement.grid");
+        crate::CANDIDATES_SCANNED.add(self.num_grids() as u64);
+        let scores = self.cumulative_errors(view.map);
+        // The head of `propose_top_k`'s (-score, index) order: strict `>`
+        // keeps the lowest row-major index among ties.
+        let mut best = 0;
+        for (flat, &score) in scores.iter().enumerate().skip(1) {
+            if score > scores[best] {
+                best = flat;
+            }
+        }
+        self.flat_center(best)
     }
 
     fn propose_ranked(

@@ -4,8 +4,9 @@
 //! after every beacon it deploys. For the score-based algorithms that is
 //! wasteful: a new beacon only changes the error map inside its own
 //! reach (the [`SurveyDelta`] returned by
-//! [`ErrorMap::add_beacon`]), yet the Grid algorithm re-sums all `NG`
-//! grids and the Max algorithm rescans every lattice point each round.
+//! [`ErrorMap::add_beacon`]), yet the Grid algorithm re-derives every
+//! band's row subtotals and all `NG` grid scores, and the Max algorithm
+//! rescans every lattice point each round.
 //!
 //! The scorers in this module cache the previous round's audibility-
 //! derived scores and, on [`IncrementalScorer::apply_delta`], re-derive
@@ -103,8 +104,9 @@ pub trait IncrementalScorer {
 /// rows; grids outside the delta keep their cached score untouched.
 ///
 /// Per update this costs `O(bands_hit · rows_hit · span)` instead of
-/// the brute `O(NG · PG)` full re-sum; the saving is reported via
-/// [`CELLS_PRUNED`](crate::CELLS_PRUNED).
+/// the brute banded re-sum of every band (`O(√NG · rows · span +
+/// NG · rows_per_grid)`, see [`GridPlacement`]); the saving is reported
+/// via [`CELLS_PRUNED`](crate::CELLS_PRUNED).
 ///
 /// # Examples
 ///
@@ -146,7 +148,7 @@ pub struct IncrementalGrid {
     row_spans: Vec<Option<(u32, u32)>>,
     /// `row_sums[i * lattice_rows + j]` = subtotal of row `j` over band
     /// `i`'s column span (meaningful only where `col_spans[i]` is
-    /// `Some`).
+    /// `Some` and some grid row's span holds `j`).
     row_sums: Vec<f64>,
     /// Cached grid scores, row-major (`flat = j * per_side + i`) — the
     /// same layout as [`GridPlacement::cumulative_errors`].
@@ -157,44 +159,24 @@ impl IncrementalGrid {
     /// Builds the cache with a full scan of `map` (counted once against
     /// [`CANDIDATES_SCANNED`](crate::CANDIDATES_SCANNED)).
     pub fn new(algo: GridPlacement, map: &ErrorMap) -> Self {
-        let n = algo.grids_per_side() as usize;
+        let n = algo.grids_per_side();
         let lattice = map.lattice();
         let lattice_rows = lattice.per_side() as usize;
-        let col_spans: Vec<_> = (0..n)
-            .map(|i| {
-                let r = algo.grid_rect(i as u32, 0);
-                lattice.index_span(r.min().x, r.max().x)
-            })
-            .collect();
-        let row_spans: Vec<_> = (0..n)
-            .map(|j| {
-                let r = algo.grid_rect(0, j as u32);
-                lattice.index_span(r.min().y, r.max().y)
-            })
-            .collect();
-        let mut row_sums = vec![0.0; n * lattice_rows];
-        for (i, span) in col_spans.iter().enumerate() {
-            if let Some((i_lo, i_hi)) = *span {
-                for j in 0..lattice_rows {
-                    row_sums[i * lattice_rows + j] = map.row_error_sum(j as u32, i_lo, i_hi);
-                }
-            }
-        }
-        let mut scorer = IncrementalGrid {
+        let col_spans: Vec<_> = (0..n).map(|i| algo.col_span(lattice, i)).collect();
+        let row_spans: Vec<_> = (0..n).map(|j| algo.row_span(lattice, j)).collect();
+        let mut row_sums = vec![0.0; n as usize * lattice_rows];
+        let scores = algo.banded_scores(map, &col_spans, &row_spans, |i, j, s| {
+            row_sums[i as usize * lattice_rows + j as usize] = s;
+        });
+        crate::CANDIDATES_SCANNED.add(algo.num_grids() as u64);
+        IncrementalGrid {
             algo,
             lattice_rows,
             col_spans,
             row_spans,
             row_sums,
-            scores: vec![0.0; n * n],
-        };
-        for j in 0..n {
-            for i in 0..n {
-                scorer.scores[j * n + i] = scorer.score_of(i, j);
-            }
+            scores,
         }
-        crate::CANDIDATES_SCANNED.add(algo.num_grids() as u64);
-        scorer
     }
 
     /// The algorithm this scorer accelerates.
@@ -278,7 +260,6 @@ impl IncrementalScorer for IncrementalGrid {
 
     fn ranked(&self, _map: &ErrorMap, k: usize) -> Vec<Point> {
         let k = k.clamp(1, self.algo.num_grids());
-        let n = self.algo.grids_per_side() as usize;
         let mut order: Vec<usize> = (0..self.scores.len()).collect();
         // The exact comparator of `GridPlacement::propose_top_k`:
         // (-score, index), ties toward the first row-major grid.
@@ -290,7 +271,7 @@ impl IncrementalScorer for IncrementalGrid {
         });
         order[..k]
             .iter()
-            .map(|&flat| self.algo.center((flat % n) as u32, (flat / n) as u32))
+            .map(|&flat| self.algo.flat_center(flat))
             .collect()
     }
 }
@@ -566,48 +547,6 @@ mod tests {
         let delta = map.add_beacon(&beacon, &model);
         scorer.apply_delta(&map, delta);
         assert_eq!(scorer.max_error_point(), map.max_error_point());
-    }
-
-    #[test]
-    fn counters_prove_pruning() {
-        abp_trace::set_enabled(true);
-        let (_, mut field, model, mut map) = setup(6, 20);
-        let algo = GridPlacement::paper(terrain(), 15.0);
-        let mut scorer = IncrementalGrid::new(algo, &map);
-
-        let scanned_before = crate::CANDIDATES_SCANNED.total();
-        let pruned_before = crate::CELLS_PRUNED.total();
-
-        let id = field.add_beacon(Point::new(25.0, 25.0));
-        let beacon = *field.get(id).unwrap();
-        let delta = map.add_beacon(&beacon, &model);
-        scorer.apply_delta(&map, delta);
-
-        let scanned = crate::CANDIDATES_SCANNED.total() - scanned_before;
-        let pruned = crate::CELLS_PRUNED.total() - pruned_before;
-        assert_eq!(
-            scanned + pruned,
-            algo.num_grids() as u64,
-            "every grid is either rescored or pruned"
-        );
-        assert!(pruned > 0, "a local delta must prune some grids");
-        assert!(scanned > 0, "a real delta must rescore some grids");
-    }
-
-    #[test]
-    fn empty_delta_prunes_everything() {
-        abp_trace::set_enabled(true);
-        let (_, _, _, map) = setup(7, 8);
-        let algo = GridPlacement::paper(terrain(), 15.0);
-        let mut scorer = IncrementalGrid::new(algo, &map);
-        let scanned_before = crate::CANDIDATES_SCANNED.total();
-        let pruned_before = crate::CELLS_PRUNED.total();
-        scorer.apply_delta(&map, SurveyDelta::EMPTY);
-        assert_eq!(crate::CANDIDATES_SCANNED.total(), scanned_before);
-        assert_eq!(
-            crate::CELLS_PRUNED.total() - pruned_before,
-            algo.num_grids() as u64
-        );
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! algorithms that differ in the amount of global knowledge and processing
 //! they use:
 //!
-//! | Algorithm | Knowledge used | Complexity |
-//! |-----------|----------------|------------|
-//! | [`RandomPlacement`] | none | `O(1)` |
-//! | [`MaxPlacement`] | per-point error measurements | `O(PT)` |
-//! | [`GridPlacement`] | cumulative error over `NG` overlapping grids | `O(NG · PG)` |
+//! | Algorithm | Knowledge used | Complexity (paper) | As implemented |
+//! |-----------|----------------|--------------------|----------------|
+//! | [`RandomPlacement`] | none | `O(1)` | `O(1)` |
+//! | [`MaxPlacement`] | per-point error measurements | `O(PT)` | `O(PT)` |
+//! | [`GridPlacement`] | cumulative error over `NG` overlapping grids | `O(NG · PG)` | `O(√NG · rows · span + NG · rows_per_grid)` |
 //!
 //! plus the extensions the paper sketches as future work (§6):
 //!

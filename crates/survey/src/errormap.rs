@@ -760,9 +760,11 @@ impl ErrorMap {
     ///
     /// Summation association is fixed and documented: each lattice row's
     /// errors are summed left-to-right into a row subtotal, and the row
-    /// subtotals are added bottom-to-top. The incremental Grid scorer in
-    /// `abp-placement` caches exactly those row subtotals, so its scores
-    /// are bit-identical to this function's.
+    /// subtotals are added bottom-to-top. The Grid scorers in
+    /// `abp-placement` (the banded `GridPlacement::cumulative_errors` and
+    /// the incremental scorer) share exactly those row subtotals among
+    /// overlapping grids, so their scores are bit-identical to this
+    /// function's, which stays their reference.
     pub fn cumulative_error_in(&self, rect: &Rect) -> f64 {
         let mut total = 0.0;
         let lattice = self.lattice;
@@ -784,7 +786,7 @@ impl ErrorMap {
 
     /// The row subtotal this map's [`ErrorMap::cumulative_error_in`]
     /// association uses: valid errors of row `j`, columns `i_lo..=i_hi`,
-    /// summed left-to-right. Exposed for the incremental Grid scorer.
+    /// summed left-to-right. Exposed for the Grid scorers.
     pub fn row_error_sum(&self, j: u32, i_lo: u32, i_hi: u32) -> f64 {
         let per_side = self.lattice.per_side() as usize;
         let base = j as usize * per_side;
