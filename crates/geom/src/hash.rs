@@ -35,6 +35,12 @@ fn mix(words: &[u64]) -> u64 {
     h
 }
 
+/// 53 high bits of `h` as a double in `[0, 1)`, the standard conversion.
+#[inline]
+fn to_unit(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// A deterministic scalar field: maps `(beacon id, point)` to reproducible
 /// pseudo-random values derived from a seed.
 ///
@@ -71,17 +77,26 @@ impl DeterministicField {
         self.seed
     }
 
+    /// The hash state after mixing in `(seed, key)`: the per-key part of
+    /// every point hash, so a caller querying many points under one key
+    /// (a beacon's disk) pays for it once.
+    #[inline]
+    pub fn keyed(&self, key: u64) -> KeyedField {
+        KeyedField {
+            state: mix(&[self.seed, key]),
+        }
+    }
+
     /// Raw 64-bit hash for `(key, point)`.
     #[inline]
     pub fn hash(&self, key: u64, p: Point) -> u64 {
-        mix(&[self.seed, key, p.x.to_bits(), p.y.to_bits()])
+        KeyedField::hash(self.keyed(key).column(p.x), p.y)
     }
 
     /// A value uniform in `[0, 1)` for `(key, point)`.
     #[inline]
     pub fn unit(&self, key: u64, p: Point) -> f64 {
-        // 53 high bits -> [0, 1) double, the standard conversion.
-        (self.hash(key, p) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        KeyedField::unit(self.keyed(key).column(p.x), p.y)
     }
 
     /// A value uniform in `[-1, 1)` for `(key, point)` — the paper's `u`
@@ -96,7 +111,7 @@ impl DeterministicField {
     /// Used for per-beacon draws such as the noise factor `nf(B)`.
     #[inline]
     pub fn unit_keyed(&self, key: u64) -> f64 {
-        (mix(&[self.seed, key]) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        to_unit(mix(&[self.seed, key]))
     }
 
     /// Derives a new independent field, e.g. for a sub-experiment.
@@ -105,6 +120,49 @@ impl DeterministicField {
         DeterministicField {
             seed: mix(&[self.seed, label, 0x5EED]),
         }
+    }
+}
+
+/// A [`DeterministicField`] with its key already mixed in
+/// ([`DeterministicField::keyed`]).
+///
+/// A point hash is three more rounds: the key state, then `x`, then `y`.
+/// [`KeyedField::column`] does the `x` round, which depends only on the
+/// lattice column, and [`KeyedField::unit`] the `y` round. The field's
+/// own [`DeterministicField::unit`] is defined through these two, so a
+/// survey that caches one column hash per lattice column draws exactly
+/// the values of the per-point form.
+///
+/// ```
+/// use abp_geom::{DeterministicField, KeyedField, Point};
+/// let field = DeterministicField::new(42);
+/// let column = field.keyed(7).column(3.0);
+/// assert_eq!(KeyedField::unit(column, 4.0), field.unit(7, Point::new(3.0, 4.0)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyedField {
+    state: u64,
+}
+
+impl KeyedField {
+    /// The hash state after mixing in the column coordinate `x`.
+    #[inline]
+    pub fn column(&self, x: f64) -> u64 {
+        splitmix64(self.state ^ x.to_bits())
+    }
+
+    /// The raw point hash from a [`KeyedField::column`] state and the
+    /// row coordinate `y`.
+    #[inline]
+    pub fn hash(column: u64, y: f64) -> u64 {
+        splitmix64(column ^ y.to_bits())
+    }
+
+    /// A value uniform in `[0, 1)` from a [`KeyedField::column`] state
+    /// and the row coordinate `y`.
+    #[inline]
+    pub fn unit(column: u64, y: f64) -> f64 {
+        to_unit(Self::hash(column, y))
     }
 }
 
@@ -127,6 +185,18 @@ mod tests {
         assert_eq!(f1.hash(5, p), f2.hash(5, p));
         assert_eq!(f1.unit(5, p), f2.unit(5, p));
         assert_eq!(f1.unit_keyed(5), f2.unit_keyed(5));
+    }
+
+    /// The keyed, column-then-row form is the four-word mix the field
+    /// has always hashed with.
+    #[test]
+    fn point_hash_is_the_four_word_mix() {
+        let f = DeterministicField::new(0xABCD);
+        for (key, x, y) in [(0u64, 0.0, 0.0), (7, 3.5, -2.25), (u64::MAX, 1e9, 1e-9)] {
+            let want = mix(&[0xABCD, key, f64::to_bits(x), f64::to_bits(y)]);
+            assert_eq!(f.hash(key, Point::new(x, y)), want);
+            assert_eq!(f.keyed(key).state, mix(&[0xABCD, key]));
+        }
     }
 
     #[test]

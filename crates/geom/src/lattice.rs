@@ -199,6 +199,23 @@ impl Lattice {
         self.axis_range(min, max)
     }
 
+    /// [`Lattice::index_span`] widened by one index on each side (and
+    /// clamped to the lattice): a span that surely holds every index
+    /// whose coordinate an exact test against `[min, max]` can accept.
+    ///
+    /// The slab bounds `min`/`max` carry rounding (`c ± r`, a square
+    /// root), and dividing by an inexact step adds more, so the plain
+    /// span can shave off a point that lies exactly on a disk's boundary.
+    /// Callers that enumerate a disk take this cover and trim it with the
+    /// exact membership test ([`Lattice::disk_row_span`]).
+    pub fn cover_span(&self, min: f64, max: f64) -> Option<(u32, u32)> {
+        let lo = ((min / self.step).ceil() as i64).saturating_sub(1).max(0);
+        let hi = ((max / self.step).floor() as i64)
+            .saturating_add(1)
+            .min(self.per_side as i64 - 1);
+        (lo <= hi).then_some((lo as u32, hi as u32))
+    }
+
     /// Enumerates the lattice points inside `disk` (boundary included),
     /// invoking `f(index, point)` for each.
     ///
@@ -208,7 +225,7 @@ impl Lattice {
     pub fn for_each_in_disk<F: FnMut(LatticeIndex, Point)>(&self, disk: Disk, f: F) {
         let c = disk.center();
         let r = disk.radius();
-        let Some((j_lo, j_hi)) = self.axis_range(c.y - r, c.y + r) else {
+        let Some((j_lo, j_hi)) = self.cover_span(c.y - r, c.y + r) else {
             return;
         };
         self.for_each_in_disk_rows(disk, j_lo, j_hi, f);
@@ -220,7 +237,7 @@ impl Lattice {
     ///
     /// This is the banding primitive of the intra-survey tile scheduler
     /// (`abp-survey`): the disk's full row span comes from
-    /// [`Lattice::index_span`]`(c.y - r, c.y + r)`, gets split into
+    /// [`Lattice::cover_span`]`(c.y - r, c.y + r)`, gets split into
     /// contiguous bands, and each worker enumerates its band through this
     /// method. Because each row is processed independently, the union of
     /// any disjoint band cover visits exactly the points
@@ -237,31 +254,57 @@ impl Lattice {
         mut f: F,
     ) {
         debug_assert!(j_hi < self.per_side, "row band exceeds the lattice");
+        for j in j_lo..=j_hi {
+            let Some((i_lo, i_hi)) = self.disk_row_span(disk, j) else {
+                continue;
+            };
+            let y = j as f64 * self.step;
+            for i in i_lo..=i_hi {
+                f(LatticeIndex { i, j }, Point::new(i as f64 * self.step, y));
+            }
+        }
+    }
+
+    /// The inclusive column span `[a, b]` of row `j` whose lattice points
+    /// lie inside `disk` (boundary included), or `None` if the row misses
+    /// it — the points [`Lattice::for_each_in_disk_rows`] visits in that
+    /// row.
+    ///
+    /// Membership is the exact test `dx * dx + dy * dy <= r * r` with
+    /// `dx = i·step - c.x` and `dy = j·step - c.y` (the same bits as
+    /// `center.distance_squared(point)`). The [`Lattice::cover_span`] of
+    /// the slab `c.x ± sqrt(r² - dy²)` gives the candidate columns, and
+    /// the ends are trimmed against the exact test. The computed
+    /// `dx * dx` never increases towards the centre column and never
+    /// decreases away from it (every step is a monotone rounded
+    /// operation), so the members form one contiguous run and trimming
+    /// the ends finds it.
+    pub fn disk_row_span(&self, disk: Disk, j: u32) -> Option<(u32, u32)> {
         let c = disk.center();
         let r = disk.radius();
         let r2 = r * r;
-        for j in j_lo..=j_hi {
-            let y = j as f64 * self.step;
-            let dy = y - c.y;
-            let span2 = r2 - dy * dy;
-            if span2 < 0.0 {
-                continue;
-            }
-            let span = span2.sqrt();
-            let Some((i_lo, i_hi)) = self.axis_range(c.x - span, c.x + span) else {
-                continue;
-            };
-            for i in i_lo..=i_hi {
-                let x = i as f64 * self.step;
-                // The slab computation already guarantees membership up to
-                // floating-point rounding; re-check to keep the contract
-                // exact for callers that compare against radius elsewhere.
-                let dx = x - c.x;
-                if dx * dx + dy * dy <= r2 {
-                    f(LatticeIndex { i, j }, Point::new(x, y));
-                }
-            }
+        let dy = j as f64 * self.step - c.y;
+        let dy2 = dy * dy;
+        let span2 = r2 - dy2;
+        if span2 < 0.0 {
+            return None;
         }
+        let span = span2.sqrt();
+        let (mut a, mut b) = self.cover_span(c.x - span, c.x + span)?;
+        let inside = |i: u32| {
+            let dx = i as f64 * self.step - c.x;
+            dx * dx + dy2 <= r2
+        };
+        while !inside(a) {
+            if a == b {
+                return None;
+            }
+            a += 1;
+        }
+        while !inside(b) {
+            b -= 1;
+        }
+        Some((a, b))
     }
 
     /// Enumerates the lattice points inside the axis-aligned rectangle
@@ -388,6 +431,28 @@ mod tests {
         }
     }
 
+    /// A disk centred on a lattice point with a radius of whole steps,
+    /// at a step that is not a binary fraction: the boundary points sit
+    /// exactly `r` away, and `c.x / step` rounds above the column index,
+    /// so the plain slab span misses the point straight above the
+    /// centre. The widened cover keeps it.
+    #[test]
+    fn disk_enumeration_keeps_exact_boundary_points_at_an_inexact_step() {
+        let step = 100.0 / 33.0;
+        let lat = Lattice::new(Terrain::square(100.0), step);
+        let c = Point::new(23.0 * step, 31.0 * step);
+        let r = 12.0 * step;
+        let disk = Disk::new(c, r);
+        let mut fast = Vec::new();
+        lat.for_each_in_disk(disk, |ix, _| fast.push(ix));
+        let brute: Vec<_> = lat
+            .indices()
+            .filter(|ix| lat.point(*ix).distance_squared(c) <= r * r)
+            .collect();
+        assert!(brute.contains(&LatticeIndex::new(23, 19)));
+        assert_eq!(fast, brute);
+    }
+
     #[test]
     fn disk_row_bands_union_to_the_full_enumeration() {
         let lat = Lattice::new(Terrain::square(20.0), 1.0);
@@ -395,7 +460,7 @@ mod tests {
             let disk = Disk::new(Point::new(cx, cy), r);
             let mut full = Vec::new();
             lat.for_each_in_disk(disk, |ix, p| full.push((ix, p)));
-            let (j_lo, j_hi) = lat.index_span(cy - r, cy + r).unwrap();
+            let (j_lo, j_hi) = lat.cover_span(cy - r, cy + r).unwrap();
             // Any disjoint row-band cover must visit the same (index,
             // point) sequence band by band, in the same per-row order.
             for split in j_lo..=j_hi {

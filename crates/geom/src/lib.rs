@@ -52,7 +52,7 @@ pub mod segment;
 pub use bins::GridBins;
 pub use circle::{circle_circle_intersections, lens_area, Circle};
 pub use disk::Disk;
-pub use hash::{splitmix64, DeterministicField};
+pub use hash::{splitmix64, DeterministicField, KeyedField};
 pub use lattice::{Lattice, LatticeIndex};
 pub use point::{centroid, Point, Vec2};
 pub use polygon::Polygon;

@@ -1,8 +1,8 @@
 //! Property-based tests for the geometry substrate.
 
 use abp_geom::{
-    centroid, circle_circle_intersections, lens_area, Circle, DeterministicField, Disk, Lattice,
-    Point, Polygon, Rect, Terrain, Vec2,
+    centroid, circle_circle_intersections, lens_area, Circle, DeterministicField, Disk, KeyedField,
+    Lattice, LatticeIndex, Point, Polygon, Rect, Terrain, Vec2,
 };
 use proptest::prelude::*;
 
@@ -192,6 +192,61 @@ proptest! {
         prop_assert!((-1.0..1.0).contains(&s));
         let k = f.unit_keyed(key);
         prop_assert!((0.0..1.0).contains(&k));
+    }
+
+    /// The keyed, column-then-row form draws the per-point value.
+    #[test]
+    fn keyed_column_then_row_is_the_point_draw(
+        seed in any::<u64>(), key in any::<u64>(), p in point()
+    ) {
+        let f = DeterministicField::new(seed);
+        let column = f.keyed(key).column(p.x);
+        prop_assert_eq!(KeyedField::unit(column, p.y).to_bits(), f.unit(key, p).to_bits());
+        prop_assert_eq!(KeyedField::hash(column, p.y), f.hash(key, p));
+    }
+
+    /// Row by row, `disk_row_span` is exactly the set of lattice points
+    /// of that row that pass the exact membership test
+    /// `point.distance_squared(center) <= r * r` — one contiguous run,
+    /// `None` when the row has none — and `for_each_in_disk` visits
+    /// exactly those runs. Centres on and off the lattice and the
+    /// terrain, radii snapped to the step (boundary ties) and zero.
+    #[test]
+    fn disk_row_span_is_the_exact_row_filter(
+        divisor in 1u32..40, cx in -30.0..130.0f64, cy in -30.0..130.0f64,
+        r in 0.0..60.0f64, snap in any::<bool>(), zero in any::<bool>()
+    ) {
+        let step = 100.0 / divisor as f64;
+        let lat = Lattice::new(Terrain::square(100.0), step);
+        let (c, r) = if snap {
+            let c = Point::new((cx / step).round() * step, (cy / step).round() * step);
+            (c, (r / step).round() * step)
+        } else {
+            (Point::new(cx, cy), r)
+        };
+        let disk = Disk::new(c, if zero { 0.0 } else { r });
+        let r2 = disk.radius() * disk.radius();
+        let mut visited = Vec::new();
+        lat.for_each_in_disk(disk, |ix, p| visited.push((ix, p)));
+        let mut k = 0;
+        for j in 0..lat.per_side() {
+            let exact: Vec<u32> = (0..lat.per_side())
+                .filter(|&i| lat.point(LatticeIndex::new(i, j)).distance_squared(c) <= r2)
+                .collect();
+            let span = lat.disk_row_span(disk, j);
+            match span {
+                None => prop_assert!(exact.is_empty(), "row {} missed {:?}", j, exact),
+                Some((a, b)) => prop_assert_eq!(exact, (a..=b).collect::<Vec<_>>()),
+            }
+            if let Some((a, b)) = span {
+                for i in a..=b {
+                    let ix = LatticeIndex::new(i, j);
+                    prop_assert_eq!(visited.get(k), Some(&(ix, lat.point(ix))));
+                    k += 1;
+                }
+            }
+        }
+        prop_assert_eq!(k, visited.len());
     }
 
     #[test]

@@ -106,8 +106,8 @@ impl<M: Propagation + ?Sized> Propagation for MessageCountOracle<'_, M> {
         self.base.nominal_range()
     }
 
-    // guaranteed_range() stays the default `None`: even over a base with
-    // a guaranteed core, message counting can disconnect in-range pairs
+    // link() stays the default `Link::ASK`: even over a base with a
+    // guaranteed core, message counting can disconnect in-range pairs
     // (collisions, sleep, death), so the survey must ask `connected`.
 }
 
@@ -205,8 +205,8 @@ mod tests {
         assert_eq!(oracle.max_range(b.tx(), b.pos()), 15.0);
         assert_eq!(oracle.nominal_range(), 15.0);
         assert_eq!(
-            oracle.guaranteed_range(b.tx(), b.pos()),
-            None,
+            oracle.link(b.tx(), b.pos()),
+            abp_radio::Link::ASK,
             "the guaranteed-core shortcut must stay off"
         );
     }

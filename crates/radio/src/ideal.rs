@@ -1,6 +1,6 @@
 //! The paper's idealized radio model (§2.1).
 
-use crate::{Propagation, TxId};
+use crate::{Link, Propagation, TxId};
 use abp_geom::Point;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -64,10 +64,10 @@ impl Propagation for IdealDisk {
     }
 
     /// Connectivity *is* the sharp range-`R` disk: `connected` is
-    /// `distance_squared(rx) <= range * range`, the guarantee's own test.
+    /// `distance_squared(rx) <= range * range`, the core's own test.
     #[inline]
-    fn guaranteed_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
-        Some(self.range)
+    fn link(&self, _tx: TxId, _tx_pos: Point) -> Link {
+        Link::disk(self.range)
     }
 }
 
@@ -116,17 +116,22 @@ mod tests {
     }
 
     #[test]
-    fn guaranteed_range_is_the_whole_disk() {
+    fn link_is_the_whole_disk() {
         let m = IdealDisk::new(9.0);
-        assert_eq!(m.guaranteed_range(TxId(1), Point::ORIGIN), Some(9.0));
+        let link = m.link(TxId(1), Point::ORIGIN);
+        assert_eq!(link, Link::disk(9.0));
         // connected <=> distance_squared <= g^2, including at the boundary.
         for &(x, y) in &[(9.0, 0.0), (8.999, 0.0), (9.001, 0.0), (6.3, 6.4)] {
             let rx = Point::new(x, y);
-            let r = m.guaranteed_range(TxId(1), Point::ORIGIN).unwrap();
+            let r = link.core.unwrap();
             assert_eq!(
                 m.connected(TxId(1), Point::ORIGIN, rx),
                 Point::ORIGIN.distance_squared(rx) <= r * r,
                 "at ({x}, {y})"
+            );
+            assert_eq!(
+                link.hears(&m, TxId(1), Point::ORIGIN, rx),
+                m.connected(TxId(1), Point::ORIGIN, rx)
             );
         }
     }

@@ -5,6 +5,9 @@
 //! simulation. This crate provides:
 //!
 //! * [`Propagation`] — the connectivity predicate every model implements,
+//!   and its per-beacon [`Link`] rule (a guaranteed core plus an annulus
+//!   decision, equal to `connected` point for point) that the survey
+//!   kernel evaluates instead of a `connected` call per lattice point,
 //! * [`IdealDisk`] — the paper's idealized radio model (§2.1): perfect
 //!   spherical propagation, identical range `R` for all radios,
 //! * [`PerBeaconNoise`] — the paper's noise model (§4.2.1): beacon `B`
@@ -63,7 +66,7 @@ pub use shadowing::LogDistance;
 pub use terrain::{HeightField, TerrainShadowed};
 pub use timevarying::TimeVarying;
 
-use abp_geom::Point;
+use abp_geom::{KeyedField, Point};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -117,19 +120,114 @@ pub trait Propagation: Send + Sync {
     /// ignoring noise. Placement algorithms size their grids from this.
     fn nominal_range(&self) -> f64;
 
-    /// A radius inside which `connected` is guaranteed: for every `rx`
-    /// with `tx_pos.distance_squared(rx) <= g * g` (that squared form
-    /// verbatim), `connected(tx, tx_pos, rx)` is `true`.
+    /// The rule that decides the points of `tx`'s disk, computed once
+    /// per beacon: a guaranteed core plus how the ring between the core
+    /// and [`Propagation::max_range`] is decided (see [`Link`]).
     ///
-    /// The survey sweep uses this to skip the per-point `connected` call
-    /// (for noisy models, a hash per point) inside the guaranteed core:
-    /// the inline comparison decides exactly what `connected` would, so
-    /// the heard sets and accumulated bits do not change. Defaults to
-    /// `None` ("no guarantee"), which is always sound; a model that can
-    /// drop a link anywhere — a dead beacon at distance 0, an obstacle,
-    /// a lossy channel — must keep it.
-    fn guaranteed_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
-        None
+    /// The survey kernel calls this once per beacon and decides every
+    /// lattice point of the disk with the returned rule instead of a
+    /// `connected` call per point. **Contract:** for every `rx` within
+    /// `max_range`, [`Link::hears`] must equal `connected(tx, tx_pos,
+    /// rx)` — equality, not merely soundness, because the survey's heard
+    /// sets and accumulated bits must not change. Defaults to
+    /// [`Link::ASK`] (no core, ask `connected` everywhere), which always
+    /// meets the contract; a model that can drop a link anywhere — a dead
+    /// beacon at distance 0, an obstacle, a lossy channel — must keep it.
+    fn link(&self, _tx: TxId, _tx_pos: Point) -> Link {
+        Link::ASK
+    }
+}
+
+/// One transmitter's connectivity rule, hoisted out of the per-point
+/// loop ([`Propagation::link`]).
+///
+/// A receiver at squared distance `d2 = tx_pos.distance_squared(rx)` is
+/// heard iff `d2 <= g * g` for the guaranteed core `g` (that squared
+/// form verbatim), or else iff the [`Annulus`] rule hears it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link {
+    /// The guaranteed core radius `g`, or `None` for no core.
+    pub core: Option<f64>,
+    /// How points outside the core are decided.
+    pub annulus: Annulus,
+}
+
+/// How a [`Link`] decides the points outside its guaranteed core.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Annulus {
+    /// No point outside the core is heard: connectivity is the sharp
+    /// core disk ([`IdealDisk`], [`NoiseStyle::CoherentRadius`]).
+    Empty,
+    /// The per-point speckle draw of [`PerBeaconNoise`] under
+    /// [`NoiseStyle::Speckled`] and [`NoiseStyle::Lossy`].
+    Speckle(Speckle),
+    /// Ask [`Propagation::connected`] per point — the default.
+    Ask,
+}
+
+/// The hoisted form of [`PerBeaconNoise`]'s per-point rule `d <= R(1 +
+/// u·nf(B))`: the beacon's keyed hash state and noise factor, drawn once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Speckle {
+    /// The noise field with the beacon's id mixed in.
+    pub key: KeyedField,
+    /// The nominal range `R`.
+    pub nominal: f64,
+    /// The beacon's noise factor `nf(B)`.
+    pub nf: f64,
+    /// [`NoiseStyle::Lossy`] (`u = -unit`) rather than
+    /// [`NoiseStyle::Speckled`] (`u = 2·unit - 1`).
+    pub lossy: bool,
+}
+
+impl Speckle {
+    /// Whether the point with column hash `column` (from
+    /// `self.key.column(x)`), row coordinate `y` and squared distance
+    /// `d2` from the beacon hears it — the arithmetic of
+    /// [`PerBeaconNoise::connected`], step for step.
+    #[inline]
+    pub fn hears(&self, column: u64, y: f64, d2: f64) -> bool {
+        let unit = KeyedField::unit(column, y);
+        let u = if self.lossy { -unit } else { unit * 2.0 - 1.0 };
+        let r = self.nominal * (1.0 + u * self.nf);
+        d2 <= r * r
+    }
+}
+
+impl Link {
+    /// No guaranteed core; every point asks `connected`.
+    pub const ASK: Link = Link {
+        core: None,
+        annulus: Annulus::Ask,
+    };
+
+    /// Connectivity is exactly the disk `d2 <= g * g`.
+    pub const fn disk(g: f64) -> Link {
+        Link {
+            core: Some(g),
+            annulus: Annulus::Empty,
+        }
+    }
+
+    /// The rule's decision at one receiver — the per-point form the
+    /// survey kernel hoists. `model`, `tx` and `tx_pos` are the ones the
+    /// rule came from; only [`Annulus::Ask`] consults them.
+    pub fn hears<M: Propagation + ?Sized>(
+        &self,
+        model: &M,
+        tx: TxId,
+        tx_pos: Point,
+        rx: Point,
+    ) -> bool {
+        let d2 = tx_pos.distance_squared(rx);
+        if self.core.is_some_and(|g| d2 <= g * g) {
+            return true;
+        }
+        match self.annulus {
+            Annulus::Empty => false,
+            Annulus::Speckle(s) => s.hears(s.key.column(rx.x), rx.y, d2),
+            Annulus::Ask => model.connected(tx, tx_pos, rx),
+        }
     }
 }
 
@@ -144,8 +242,8 @@ impl<M: Propagation + ?Sized> Propagation for &M {
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
     }
-    fn guaranteed_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
-        (**self).guaranteed_range(tx, tx_pos)
+    fn link(&self, tx: TxId, tx_pos: Point) -> Link {
+        (**self).link(tx, tx_pos)
     }
 }
 
@@ -159,8 +257,8 @@ impl<M: Propagation + ?Sized> Propagation for Box<M> {
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
     }
-    fn guaranteed_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
-        (**self).guaranteed_range(tx, tx_pos)
+    fn link(&self, tx: TxId, tx_pos: Point) -> Link {
+        (**self).link(tx, tx_pos)
     }
 }
 
@@ -185,23 +283,24 @@ mod tests {
         assert_eq!(by_ref.max_range(TxId(0), Point::ORIGIN), 10.0);
     }
 
-    /// The blanket `&M` / `Box<M>` impls forward the guarantee instead of
-    /// falling back to the trait default.
+    /// The blanket `&M` / `Box<M>` impls forward the link rule instead
+    /// of falling back to the trait default.
     #[test]
-    fn wrappers_forward_the_guaranteed_range() {
-        fn through<M: Propagation>(model: M) -> Option<f64> {
-            model.guaranteed_range(TxId(4), Point::new(2.0, 3.0))
+    fn wrappers_forward_the_link_rule() {
+        fn through<M: Propagation>(model: M) -> Link {
+            model.link(TxId(4), Point::new(2.0, 3.0))
         }
         let bare = IdealDisk::new(10.0);
         let want = through(bare);
-        assert_eq!(want, Some(10.0));
+        assert_eq!(want, Link::disk(10.0));
         let boxed: Box<dyn Propagation> = Box::new(bare);
         assert_eq!(through::<&IdealDisk>(&bare), want);
         assert_eq!(through(&boxed), want);
         assert_eq!(through(Box::new(&bare)), want);
         let noisy = PerBeaconNoise::new(10.0, 0.5, 3);
         let noisy_want = through(noisy);
-        assert!(noisy_want.is_some());
+        assert!(noisy_want.core.is_some());
+        assert!(matches!(noisy_want.annulus, Annulus::Speckle(_)));
         let noisy_boxed: Box<dyn Propagation> = Box::new(noisy);
         assert_eq!(through(&noisy_boxed), noisy_want);
     }

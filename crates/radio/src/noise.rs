@@ -1,6 +1,6 @@
 //! The paper's static per-beacon propagation-noise model (§4.2.1).
 
-use crate::{Propagation, TxId};
+use crate::{Annulus, Link, Propagation, Speckle, TxId};
 use abp_geom::{DeterministicField, Point};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -204,25 +204,35 @@ impl Propagation for PerBeaconNoise {
         self.nominal
     }
 
-    /// The noise-free core `R(1 - nf(B))`; under
-    /// [`NoiseStyle::CoherentRadius`] the whole (point-independent) disk
-    /// `R(1 + u(B)·nf(B))`.
+    /// The noise-free core `R(1 - nf(B))` plus the hoisted speckle draw
+    /// ([`Speckle`]); under [`NoiseStyle::CoherentRadius`] the whole
+    /// (point-independent) disk `R(1 + u(B)·nf(B))` with an empty
+    /// annulus.
     ///
-    /// Exact, not approximate: `u >= -1` and `nf >= 0` give
+    /// The core is exact, not approximate: `u >= -1` and `nf >= 0` give
     /// `u·nf >= -nf`, and IEEE rounding is monotone with `-nf`
     /// representable, so the computed `fl(u·nf) >= -nf`. Each later
     /// step (`1 + _`, `R · _`, squaring a non-negative value) is a
     /// monotone rounded operation too, so `connected`'s `r * r` is never
-    /// below `g * g` and every point the shortcut accepts is one
-    /// `connected` accepts.
+    /// below `g * g`: every point inside the core is one `connected`
+    /// accepts. Outside it, [`Speckle::hears`] repeats `connected`'s
+    /// arithmetic on the same draw (`DeterministicField::unit` is defined
+    /// through the keyed column hash), so the two agree point for point.
     #[inline]
-    fn guaranteed_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
-        Some(match self.style {
-            NoiseStyle::Speckled | NoiseStyle::Lossy => {
-                self.nominal * (1.0 - self.noise_factor(tx))
-            }
-            NoiseStyle::CoherentRadius => self.effective_range(tx, tx_pos),
-        })
+    fn link(&self, tx: TxId, tx_pos: Point) -> Link {
+        let (nominal, nf) = (self.nominal, self.noise_factor(tx));
+        match self.style {
+            NoiseStyle::CoherentRadius => Link::disk(self.effective_range(tx, tx_pos)),
+            NoiseStyle::Speckled | NoiseStyle::Lossy => Link {
+                core: Some(nominal * (1.0 - nf)),
+                annulus: Annulus::Speckle(Speckle {
+                    key: self.field.keyed(tx.0),
+                    nominal,
+                    nf,
+                    lossy: self.style == NoiseStyle::Lossy,
+                }),
+            },
+        }
     }
 }
 

@@ -5,8 +5,8 @@
 
 use abp_geom::Point;
 use abp_radio::{
-    HeightField, IdealDisk, LogDistance, MessageLink, NoiseStyle, Obstructed, PerBeaconNoise,
-    Propagation, TerrainShadowed, TimeVarying, TxId, Wall,
+    Annulus, HeightField, IdealDisk, Link, LogDistance, MessageLink, NoiseStyle, Obstructed,
+    PerBeaconNoise, Propagation, TerrainShadowed, TimeVarying, TxId, Wall,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,13 +16,16 @@ fn pt() -> impl Strategy<Value = Point> {
     (-200.0..200.0f64, -200.0..200.0f64).prop_map(|(x, y)| Point::new(x, y))
 }
 
-/// `guaranteed_range` soundness at `rx`: inside the guarantee's squared
-/// test, `connected` must hold.
-fn check_guarantee<M: Propagation>(model: &M, tx: TxId, tx_pos: Point, rx: Point) -> bool {
-    match model.guaranteed_range(tx, tx_pos) {
-        Some(g) => tx_pos.distance_squared(rx) > g * g || model.connected(tx, tx_pos, rx),
+/// The link rule at `rx`: inside the core's squared test `connected`
+/// must hold, and the rule's decision must equal `connected` exactly.
+fn check_link<M: Propagation>(model: &M, tx: TxId, tx_pos: Point, rx: Point) -> bool {
+    let link = model.link(tx, tx_pos);
+    let connected = model.connected(tx, tx_pos, rx);
+    let core_sound = match link.core {
+        Some(g) => tx_pos.distance_squared(rx) > g * g || connected,
         None => true,
-    }
+    };
+    core_sound && link.hears(model, tx, tx_pos, rx) == connected
 }
 
 fn check_range_bound<M: Propagation>(model: &M, tx: TxId, tx_pos: Point, rx: Point) -> bool {
@@ -139,25 +142,39 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&obs.fraction()));
     }
 
-    /// Every point the survey's guaranteed-range shortcut accepts,
-    /// `connected` accepts too — for the ideal disk and all three noise
-    /// readings up to noise 0.99, at random points, at a point built to
-    /// sit exactly `g` away along an axis (`bx = px + g`), and at the
-    /// transmitter itself.
+    /// The link rule decides every point exactly as `connected` does —
+    /// for the ideal disk and all three noise readings up to noise 0.99,
+    /// at random points, at annulus points between the core and
+    /// `max_range`, at a point built to sit exactly `g` away along an
+    /// axis (`bx = px + g`), and at the transmitter itself. Every point
+    /// inside the core is one `connected` accepts.
     #[test]
-    fn guaranteed_range_is_sound(
+    fn link_matches_connected(
         r in 0.5..50.0f64, noise in 0.0..0.99f64, seed in any::<u64>(),
-        id in any::<u64>(), tx_pos in pt(), rx in pt(), style_ix in 0usize..3
+        id in any::<u64>(), tx_pos in pt(), rx in pt(), style_ix in 0usize..3,
+        frac in 0.0..=1.0f64, theta in 0.0..std::f64::consts::TAU
     ) {
         let style = [NoiseStyle::Speckled, NoiseStyle::CoherentRadius, NoiseStyle::Lossy][style_ix];
         let noisy = PerBeaconNoise::with_style(r, noise, seed, style);
         let ideal = IdealDisk::new(r);
         let tx = TxId(id);
         for model in [&ideal as &dyn Propagation, &noisy] {
-            let g = model.guaranteed_range(tx, tx_pos).expect("these models guarantee a core");
-            prop_assert!(g >= 0.0 && g <= model.max_range(tx, tx_pos));
-            prop_assert!(check_guarantee(&model, tx, tx_pos, rx));
-            prop_assert!(check_guarantee(&model, tx, tx_pos, tx_pos));
+            let link = model.link(tx, tx_pos);
+            let g = link.core.expect("these models guarantee a core");
+            let reach = model.max_range(tx, tx_pos);
+            prop_assert!(g >= 0.0 && g <= reach);
+            prop_assert!(!matches!(link.annulus, Annulus::Ask));
+            prop_assert!(check_link(&model, tx, tx_pos, rx));
+            prop_assert!(check_link(&model, tx, tx_pos, tx_pos));
+            // The annulus between the core and the maximal reach, densely:
+            // 256 points spread over its radii and angles.
+            for k in 0..256 {
+                let t = (frac + (k as f64 + 0.5) / 256.0) % 1.0;
+                let d = g + t * (reach - g);
+                let a = theta + k as f64 * 2.399_963;
+                let ring = Point::new(tx_pos.x + d * a.cos(), tx_pos.y + d * a.sin());
+                prop_assert!(check_link(&model, tx, tx_pos, ring), "annulus point at {}", d);
+            }
             // The boundary: the receiver sits at px, the transmitter at
             // px + g, so the computed distance² is exactly (bx - px)².
             let bx = Point::new(rx.x + g, rx.y);
@@ -165,19 +182,20 @@ proptest! {
             if d2 <= g * g {
                 prop_assert!(model.connected(tx, bx, rx), "boundary point dropped");
             }
-            prop_assert!(check_guarantee(&model, tx, bx, rx));
+            prop_assert!(check_link(&model, tx, bx, rx));
         }
     }
 
     /// Wrappers that can drop links inside the base model's disk keep
-    /// the default "no guarantee", even over a base that has one.
+    /// the default rule — no core, ask `connected` — even over a base
+    /// that has a core.
     #[test]
     fn link_dropping_wrappers_offer_no_guarantee(
         r in 1.0..50.0f64, seed in any::<u64>(), id in any::<u64>(), tx_pos in pt()
     ) {
         let tx = TxId(id);
         let base = IdealDisk::new(r);
-        prop_assert!(base.guaranteed_range(tx, tx_pos).is_some());
+        prop_assert!(base.link(tx, tx_pos).core.is_some());
         let wall = Wall::new(Point::new(0.0, -300.0), Point::new(0.0, 300.0), 0.5);
         let hill = HeightField::hill(10.0, 10, 30.0, 20.0);
         let wrapped: [&dyn Propagation; 4] = [
@@ -187,7 +205,7 @@ proptest! {
             &LogDistance::new(r, 3.0, 4.0, 1.0, seed),
         ];
         for model in wrapped {
-            prop_assert_eq!(model.guaranteed_range(tx, tx_pos), None);
+            prop_assert_eq!(model.link(tx, tx_pos), Link::ASK);
         }
     }
 }

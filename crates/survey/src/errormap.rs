@@ -3,7 +3,7 @@
 use abp_field::{Beacon, BeaconField};
 use abp_geom::{Disk, Lattice, LatticeIndex, Point, Rect};
 use abp_localize::{ConnectivityOracle, Localizer, UnheardPolicy};
-use abp_radio::Propagation;
+use abp_radio::{Annulus, Propagation};
 use abp_stats::Summary;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -194,10 +194,10 @@ impl ErrorMap {
     /// to) the scratch, so repeated calls allocate nothing once the
     /// buffers have grown to the largest lattice. For each beacon in
     /// insertion order the sweep walks the lattice points of its
-    /// `max_range` disk; a point inside the model's
-    /// [`guaranteed_range`](Propagation::guaranteed_range) is heard
-    /// without asking `connected` (an exact shortcut, see the trait), any
-    /// other point asks `connected`.
+    /// `max_range` disk row by row, adding the guaranteed core of the
+    /// model's [`link`](Propagation::link) rule as whole runs and
+    /// deciding the annulus with the rule (the kernel `for_each_heard_run`);
+    /// the rule equals `connected` point for point.
     ///
     /// `threads` follows the workspace convention: `0` means all
     /// available cores, `<= 1` the plain sequential sweep. With more
@@ -235,14 +235,8 @@ impl ErrorMap {
         if workers <= 1 {
             {
                 let _span = abp_trace::span!("radio.connectivity_sweep");
-                let mut band = Band {
-                    j_lo: 0,
-                    j_hi: lattice.per_side() - 1,
-                    sum_x: &mut sum_x,
-                    sum_y: &mut sum_y,
-                    count: &mut count,
-                    errors: &mut errors,
-                };
+                let mut band =
+                    Band::whole(lattice, &mut sum_x, &mut sum_y, &mut count, &mut errors);
                 abp_radio::metrics::LINKS_TESTED.add(band.sweep(lattice, field, model));
             }
             let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
@@ -463,14 +457,13 @@ impl ErrorMap {
     ) -> SurveyDelta {
         let lattice = self.lattice;
         let policy = self.policy;
-        let mut band = Band {
-            j_lo: 0,
-            j_hi: lattice.per_side() - 1,
-            sum_x: &mut self.sum_x,
-            sum_y: &mut self.sum_y,
-            count: &mut self.count,
-            errors: &mut self.errors,
-        };
+        let mut band = Band::whole(
+            &lattice,
+            &mut self.sum_x,
+            &mut self.sum_y,
+            &mut self.count,
+            &mut self.errors,
+        );
         let out = band.update(&lattice, policy, beacon, model, add);
         if add {
             abp_radio::metrics::LINKS_TESTED.add(out.visited);
@@ -495,7 +488,7 @@ impl ErrorMap {
         let lattice = self.lattice;
         let policy = self.policy;
         let c = beacon.pos();
-        let Some((j_lo, j_hi)) = lattice.index_span(c.y - reach, c.y + reach) else {
+        let Some((j_lo, j_hi)) = lattice.cover_span(c.y - reach, c.y + reach) else {
             if add {
                 abp_radio::metrics::LINKS_TESTED.add(0);
             }
@@ -801,48 +794,133 @@ impl ErrorMap {
     }
 }
 
-/// Walks the lattice points of `beacon`'s `max_range` disk within rows
-/// `j_lo..=j_hi`, calling `heard(index)` for each point that hears it;
-/// returns the number of points visited — the survey kernel every
-/// sweep and incremental update shares.
+/// Where the survey kernel reports one beacon's heard points: whole
+/// runs of the guaranteed core, and annulus points one by one with their
+/// decision. `row` is the lattice-global flat offset of `(0, j)`
+/// ([`Lattice::flat`]).
+pub(crate) trait HeardSink {
+    /// Every point of row `j` in columns `a..=b` hears the beacon.
+    fn run(&mut self, row: usize, j: u32, a: u32, b: u32);
+    /// The annulus point `(i, j)` hears the beacon iff `heard`.
+    fn ring(&mut self, row: usize, j: u32, i: u32, heard: bool);
+}
+
+/// Lattice columns of one beacon's disk whose speckle column hash the
+/// kernel caches on the stack; a wider disk (a fine step) hashes the
+/// column per point instead.
+const COLUMN_CACHE: usize = 128;
+
+/// The survey kernel every sweep and incremental update shares: walks
+/// `beacon`'s `max_range` disk within rows `j_lo..=j_hi` row by row and
+/// reports its heard points to `sink`; returns the number of points
+/// visited.
 ///
-/// A point within the model's
-/// [`guaranteed_range`](Propagation::guaranteed_range) (tested as
-/// `distance_squared <= g * g`, the trait's exact form) is heard without
-/// a `connected` call; every other point asks `connected`.
-pub(crate) fn for_each_heard_in_rows(
+/// The model's [`link`](Propagation::link) rule is fetched once per
+/// beacon. In each row the disk is the exact span
+/// [`Lattice::disk_row_span`]; the guaranteed core inside it is the
+/// contiguous run where `distance_squared <= g * g` (found by scanning
+/// the span's edges, valid because `d²` is valley-shaped along a row) and
+/// goes to the sink as one run. The remaining annulus points are decided
+/// by the link's [`Annulus`] rule: none heard for `Empty`; the speckle
+/// draw from a per-beacon cache of column hashes for `Speckle`; a
+/// `connected` call for `Ask`. The link contract makes every decision
+/// equal `connected`, so the heard sets are those of
+/// [`ErrorMap::survey_point_major`].
+pub(crate) fn for_each_heard_run(
     lattice: &Lattice,
     beacon: &Beacon,
     model: &dyn Propagation,
     j_lo: u32,
     j_hi: u32,
-    mut heard: impl FnMut(LatticeIndex),
+    sink: &mut impl HeardSink,
 ) -> u64 {
     let (tx, pos) = (beacon.tx(), beacon.pos());
     let reach = model.max_range(tx, pos);
-    let Some((lo, hi)) = lattice.index_span(pos.y - reach, pos.y + reach) else {
+    let Some((lo, hi)) = lattice.cover_span(pos.y - reach, pos.y + reach) else {
         return 0;
     };
     let (lo, hi) = (lo.max(j_lo), hi.min(j_hi));
     if lo > hi {
         return 0;
     }
-    let g2 = model
-        .guaranteed_range(tx, pos)
-        .map_or(f64::NEG_INFINITY, |g| g * g);
-    let mut visited = 0u64;
-    lattice.for_each_in_disk_rows(Disk::new(pos, reach), lo, hi, |ix, p| {
-        visited += 1;
-        if pos.distance_squared(p) <= g2 || model.connected(tx, pos, p) {
-            heard(ix);
+    let link = model.link(tx, pos);
+    let g2 = link.core.map_or(f64::NEG_INFINITY, |g| g * g);
+    let step = lattice.step();
+    let per_side = lattice.per_side() as usize;
+    let disk = Disk::new(pos, reach);
+
+    let mut cache = [0u64; COLUMN_CACHE];
+    let (mut first_col, mut cached) = (0u32, 0usize);
+    if let Annulus::Speckle(s) = &link.annulus {
+        if let Some((a, b)) = lattice.cover_span(pos.x - reach, pos.x + reach) {
+            let width = (b - a + 1) as usize;
+            if width <= COLUMN_CACHE {
+                (first_col, cached) = (a, width);
+                for (i, h) in (a..=b).zip(&mut cache) {
+                    *h = s.key.column(i as f64 * step);
+                }
+            }
         }
-    });
+    }
+    let columns = &cache[..cached];
+
+    let mut visited = 0u64;
+    for j in lo..=hi {
+        let Some((a, b)) = lattice.disk_row_span(disk, j) else {
+            continue;
+        };
+        visited += u64::from(b - a + 1);
+        let y = j as f64 * step;
+        let dy2 = (y - pos.y) * (y - pos.y);
+        // `pos.distance_squared(p)`'s bits: (x - c)² == (c - x)².
+        let d2 = |i: u32| {
+            let dx = i as f64 * step - pos.x;
+            dx * dx + dy2
+        };
+        let core = |i: u32| d2(i) <= g2;
+        let row = j as usize * per_side;
+        // Core run [ca, cb]; the annulus is [a, ca) and (cb, b].
+        let mut ca = a;
+        while ca <= b && !core(ca) {
+            ca += 1;
+        }
+        let mut cb = b;
+        if ca <= b {
+            while !core(cb) {
+                cb -= 1;
+            }
+            sink.run(row, j, ca, cb);
+        }
+        let rings = [(a, ca), (cb + 1, b + 1)];
+        match link.annulus {
+            Annulus::Empty => {}
+            Annulus::Speckle(s) => {
+                for (from, to) in rings {
+                    for i in from..to {
+                        let column = match columns.get(i.wrapping_sub(first_col) as usize) {
+                            Some(&h) => h,
+                            None => s.key.column(i as f64 * step),
+                        };
+                        sink.ring(row, j, i, s.hears(column, y, d2(i)));
+                    }
+                }
+            }
+            Annulus::Ask => {
+                for (from, to) in rings {
+                    for i in from..to {
+                        let p = Point::new(i as f64 * step, y);
+                        sink.ring(row, j, i, model.connected(tx, pos, p));
+                    }
+                }
+            }
+        }
+    }
     visited
 }
 
 /// A run of whole lattice rows `j_lo..=j_hi` and the grid slices that
 /// cover them (band-local: index `flat - j_lo * per_side`).
-struct Band<'a> {
+pub(crate) struct Band<'a> {
     j_lo: u32,
     j_hi: u32,
     sum_x: &'a mut [f64],
@@ -860,6 +938,24 @@ struct BandUpdate {
 }
 
 impl<'a> Band<'a> {
+    /// One band over every row of `lattice`'s full-size grids.
+    pub(crate) fn whole(
+        lattice: &Lattice,
+        sum_x: &'a mut [f64],
+        sum_y: &'a mut [f64],
+        count: &'a mut [u32],
+        errors: &'a mut [f64],
+    ) -> Self {
+        Band {
+            j_lo: 0,
+            j_hi: lattice.per_side() - 1,
+            sum_x,
+            sum_y,
+            count,
+            errors,
+        }
+    }
+
     /// Splits full-lattice grids into disjoint bands, one per
     /// `(first_row, rows)` entry (ascending, non-overlapping).
     fn split(
@@ -895,17 +991,24 @@ impl<'a> Band<'a> {
 
     /// Accumulates every beacon of `field`, in insertion order, into
     /// this band's rows (no error derivation); returns points visited.
-    fn sweep(&mut self, lattice: &Lattice, field: &BeaconField, model: &dyn Propagation) -> u64 {
+    pub(crate) fn sweep(
+        &mut self,
+        lattice: &Lattice,
+        field: &BeaconField,
+        model: &dyn Propagation,
+    ) -> u64 {
         let base = self.j_lo as usize * lattice.per_side() as usize;
         let mut visited = 0u64;
         for b in field {
-            let (bx, by) = (b.pos().x, b.pos().y);
-            visited += for_each_heard_in_rows(lattice, b, model, self.j_lo, self.j_hi, |ix| {
-                let off = lattice.flat(ix) - base;
-                self.sum_x[off] += bx;
-                self.sum_y[off] += by;
-                self.count[off] += 1;
-            });
+            let mut fold = Fold {
+                base,
+                bx: b.pos().x.to_bits(),
+                by: b.pos().y.to_bits(),
+                sum_x: self.sum_x,
+                sum_y: self.sum_y,
+                count: self.count,
+            };
+            visited += for_each_heard_run(lattice, b, model, self.j_lo, self.j_hi, &mut fold);
         }
         visited
     }
@@ -920,36 +1023,125 @@ impl<'a> Band<'a> {
         model: &dyn Propagation,
         add: bool,
     ) -> BandUpdate {
-        let (bx, by) = (beacon.pos().x, beacon.pos().y);
-        let base = self.j_lo as usize * lattice.per_side() as usize;
-        let (mut touched, mut bounds) = (0usize, None);
-        let visited = for_each_heard_in_rows(lattice, beacon, model, self.j_lo, self.j_hi, |ix| {
-            let off = lattice.flat(ix) - base;
-            if add {
-                self.sum_x[off] += bx;
-                self.sum_y[off] += by;
-                self.count[off] += 1;
-            } else {
-                debug_assert!(self.count[off] > 0, "removing unaccounted beacon");
-                self.sum_x[off] -= bx;
-                self.sum_y[off] -= by;
-                self.count[off] -= 1;
-            }
-            self.errors[off] = derive_error_at(
-                lattice,
-                policy,
-                base + off,
-                self.sum_x[off],
-                self.sum_y[off],
-                self.count[off],
-            );
-            touched += 1;
-            ErrorMap::grow_bounds(&mut bounds, ix);
-        });
+        let (j_lo, j_hi) = (self.j_lo, self.j_hi);
+        let mut update = Update {
+            lattice,
+            policy,
+            base: j_lo as usize * lattice.per_side() as usize,
+            bx: beacon.pos().x,
+            by: beacon.pos().y,
+            add,
+            band: self,
+            touched: 0,
+            bounds: None,
+        };
+        let visited = for_each_heard_run(lattice, beacon, model, j_lo, j_hi, &mut update);
         BandUpdate {
             visited,
-            touched,
-            bounds,
+            touched: update.touched,
+            bounds: update.bounds,
+        }
+    }
+}
+
+/// The sweep's sink: adds one beacon's coordinates (as bits) to the
+/// accumulators of the points that hear it.
+///
+/// A core run is a zipped slice loop the compiler vectorises. An annulus
+/// point adds `bx` when heard and `-0.0` when not, selected by a mask
+/// rather than a branch (the decision is a coin flip there). `-0.0` is
+/// the identity of IEEE addition — `x + -0.0 == x` bit for bit for every
+/// `x`, `+0.0` and `-0.0` included — so an unheard point's sums keep
+/// their bits.
+struct Fold<'s> {
+    base: usize,
+    bx: u64,
+    by: u64,
+    sum_x: &'s mut [f64],
+    sum_y: &'s mut [f64],
+    count: &'s mut [u32],
+}
+
+impl HeardSink for Fold<'_> {
+    #[inline]
+    fn run(&mut self, row: usize, _j: u32, a: u32, b: u32) {
+        let lo = row + a as usize - self.base;
+        let hi = row + b as usize + 1 - self.base;
+        let (bx, by) = (f64::from_bits(self.bx), f64::from_bits(self.by));
+        let sums = self.sum_x[lo..hi].iter_mut().zip(&mut self.sum_y[lo..hi]);
+        for ((sx, sy), c) in sums.zip(&mut self.count[lo..hi]) {
+            *sx += bx;
+            *sy += by;
+            *c += 1;
+        }
+    }
+
+    #[inline]
+    fn ring(&mut self, row: usize, _j: u32, i: u32, heard: bool) {
+        const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
+        let off = row + i as usize - self.base;
+        // All ones when heard, zero when not. Without the black box LLVM
+        // turns the select back into a branch.
+        let keep = std::hint::black_box(0u64.wrapping_sub(u64::from(heard)));
+        self.sum_x[off] += f64::from_bits(self.bx & keep | NEG_ZERO & !keep);
+        self.sum_y[off] += f64::from_bits(self.by & keep | NEG_ZERO & !keep);
+        self.count[off] += u32::from(heard);
+    }
+}
+
+/// The incremental update's sink: adds or removes one beacon at each
+/// point that hears it and re-derives that point's error.
+struct Update<'s, 'a> {
+    lattice: &'s Lattice,
+    policy: UnheardPolicy,
+    base: usize,
+    bx: f64,
+    by: f64,
+    add: bool,
+    band: &'s mut Band<'a>,
+    touched: usize,
+    bounds: Option<(LatticeIndex, LatticeIndex)>,
+}
+
+impl Update<'_, '_> {
+    fn touch(&mut self, flat: usize) {
+        let off = flat - self.base;
+        let band = &mut *self.band;
+        if self.add {
+            band.sum_x[off] += self.bx;
+            band.sum_y[off] += self.by;
+            band.count[off] += 1;
+        } else {
+            debug_assert!(band.count[off] > 0, "removing unaccounted beacon");
+            band.sum_x[off] -= self.bx;
+            band.sum_y[off] -= self.by;
+            band.count[off] -= 1;
+        }
+        band.errors[off] = derive_error_at(
+            self.lattice,
+            self.policy,
+            flat,
+            band.sum_x[off],
+            band.sum_y[off],
+            band.count[off],
+        );
+        self.touched += 1;
+    }
+}
+
+impl HeardSink for Update<'_, '_> {
+    fn run(&mut self, row: usize, j: u32, a: u32, b: u32) {
+        for i in a..=b {
+            self.touch(row + i as usize);
+        }
+        ErrorMap::grow_bounds(&mut self.bounds, LatticeIndex::new(a, j));
+        ErrorMap::grow_bounds(&mut self.bounds, LatticeIndex::new(b, j));
+    }
+
+    fn ring(&mut self, row: usize, j: u32, i: u32, heard: bool) {
+        if heard {
+            self.touch(row + i as usize);
+            ErrorMap::grow_bounds(&mut self.bounds, LatticeIndex::new(i, j));
         }
     }
 }
@@ -1119,6 +1311,28 @@ mod tests {
         }
     }
 
+    /// A beacon on a lattice point whose range is a whole number of
+    /// steps, at a step that is not a binary fraction: boundary points
+    /// sit exactly `R` away and `connected` hears them. The sweep and the
+    /// incremental update must visit them too (a slab rounded the wrong
+    /// way once dropped the point straight above the beacon).
+    #[test]
+    fn survey_hears_exact_boundary_points_at_an_inexact_step() {
+        let step = 100.0 / 33.0;
+        let lat = lattice(step);
+        let beacon = Point::new(23.0 * step, 31.0 * step);
+        let field = BeaconField::from_positions(terrain(), [beacon]);
+        let ideal = IdealDisk::new(12.0 * step);
+        let policy = UnheardPolicy::TerrainCenter;
+        let oracle = ErrorMap::survey_point_major(&lat, &field, &ideal, policy);
+        assert_eq!(oracle.heard_at(LatticeIndex::new(23, 19)), 1);
+        let swept = ErrorMap::survey(&lat, &field, &ideal, policy);
+        assert_bit_identical(&oracle, &swept, "sweep at an inexact step");
+        let mut added = ErrorMap::survey(&lat, &BeaconField::new(terrain()), &ideal, policy);
+        added.add_beacon(&field.beacons()[0], &ideal);
+        assert_bit_identical(&oracle, &added, "add_beacon at an inexact step");
+    }
+
     /// The banded pass on an empty field: every band sweeps nothing and
     /// still derives its policy errors.
     #[test]
@@ -1140,12 +1354,12 @@ mod tests {
         assert_bit_identical(&oracle, &tiled, "empty field tiled");
     }
 
-    /// The guaranteed core replaces `connected` calls without changing a
-    /// bit: the ideal disk never asks `connected`, the noisy model asks
-    /// it less often, and both maps equal the same model's survey with
-    /// the guarantee withheld.
+    /// The link rule replaces `connected` calls without changing a bit:
+    /// neither the ideal disk nor the noisy model asks `connected` at
+    /// all, and both maps equal the same model's survey with the rule
+    /// withheld (`Link::ASK`, a `connected` call per point).
     #[test]
-    fn guaranteed_core_skips_connected_calls() {
+    fn link_rule_skips_connected_calls() {
         use std::sync::atomic::AtomicUsize;
         struct Counting<'a> {
             inner: &'a dyn Propagation,
@@ -1163,17 +1377,19 @@ mod tests {
             fn nominal_range(&self) -> f64 {
                 self.inner.nominal_range()
             }
-            fn guaranteed_range(&self, tx: abp_radio::TxId, p: Point) -> Option<f64> {
-                self.guarantee
-                    .then(|| self.inner.guaranteed_range(tx, p))
-                    .flatten()
+            fn link(&self, tx: abp_radio::TxId, p: Point) -> abp_radio::Link {
+                if self.guarantee {
+                    self.inner.link(tx, p)
+                } else {
+                    abp_radio::Link::ASK
+                }
             }
         }
         let lat = lattice(1.0);
         let field = BeaconField::from_positions(terrain(), [Point::new(50.0, 50.0)]);
         let ideal = IdealDisk::new(15.0);
         let noisy = PerBeaconNoise::new(15.0, 0.5, 3);
-        for (model, max_calls_with) in [(&ideal as &dyn Propagation, 0), (&noisy, usize::MAX)] {
+        for model in [&ideal as &dyn Propagation, &noisy] {
             let with = Counting {
                 inner: model,
                 calls: AtomicUsize::new(0),
@@ -1187,17 +1403,51 @@ mod tests {
             let policy = UnheardPolicy::TerrainCenter;
             let a = ErrorMap::survey(&lat, &field, &with, policy);
             let b = ErrorMap::survey(&lat, &field, &without, policy);
-            assert_bit_identical(&a, &b, "with vs without the guarantee");
+            assert_bit_identical(&a, &b, "with vs without the link rule");
             let (with_calls, without_calls) = (
                 with.calls.load(Ordering::Relaxed),
                 without.calls.load(Ordering::Relaxed),
             );
-            assert!(with_calls <= max_calls_with, "{with_calls}");
+            assert_eq!(with_calls, 0);
             assert!(
                 with_calls < without_calls,
                 "{with_calls} vs {without_calls}"
             );
         }
+    }
+
+    /// The sweep folds an unheard annulus point as `+ -0.0`: the identity
+    /// of IEEE addition, bit for bit, for every accumulator value.
+    #[test]
+    fn adding_negative_zero_keeps_every_bit() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            -2.5e-300,
+        ];
+        let mut h = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            h = abp_geom::splitmix64(h);
+            let x = f64::from_bits(h);
+            if !x.is_nan() {
+                values.push(x);
+            }
+        }
+        for x in values {
+            assert_eq!((x + -0.0).to_bits(), x.to_bits(), "{x:e}");
+        }
+        // `+0.0` is not an identity: it turns -0.0 into +0.0.
+        assert_ne!((-0.0f64 + 0.0).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

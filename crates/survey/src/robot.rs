@@ -11,7 +11,7 @@
 //! can deploy. The paper's simplifying assumption — complete terrain
 //! exploration with no measurement noise — is the `gps_sigma = 0` case.
 
-use crate::errormap::ErrorMap;
+use crate::errormap::{Band, ErrorMap};
 use crate::plan::SurveyPlan;
 use abp_fault::{GpsFault, GpsOutage};
 use abp_field::{BeaconField, BeaconId};
@@ -177,18 +177,11 @@ impl Robot {
         let mut sum_x = vec![0.0; n];
         let mut sum_y = vec![0.0; n];
         let mut count = vec![0u32; n];
-        // Beacon-major accumulation (the kernel of ErrorMap::survey).
-        let last_row = lattice.per_side() - 1;
-        for b in field {
-            crate::errormap::for_each_heard_in_rows(&lattice, b, model, 0, last_row, |ix| {
-                let flat = lattice.flat(ix);
-                sum_x[flat] += b.pos().x;
-                sum_y[flat] += b.pos().y;
-                count[flat] += 1;
-            });
-        }
-        // Walk the plan: derive each waypoint's error against the GPS fix.
         let mut errors = vec![f64::NAN; n];
+        // Beacon-major accumulation (the kernel of ErrorMap::survey).
+        Band::whole(&lattice, &mut sum_x, &mut sum_y, &mut count, &mut errors)
+            .sweep(&lattice, field, model);
+        // Walk the plan: derive each waypoint's error against the GPS fix.
         let mut unheard = 0usize;
         let mut dropped = 0usize;
         let mut travelled = 0.0;

@@ -3,7 +3,7 @@
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::{CentroidLocalizer, Localizer, UnheardPolicy};
-use abp_radio::{IdealDisk, PerBeaconNoise, Propagation, TxId};
+use abp_radio::{IdealDisk, Link, PerBeaconNoise, Propagation, TxId};
 use abp_survey::snapshot::{decode, encode};
 use abp_survey::{ErrorMap, Robot, SurveyPlan, SurveyScratch};
 use proptest::prelude::*;
@@ -166,8 +166,8 @@ impl Propagation for VariableDisk {
     fn nominal_range(&self) -> f64 {
         self.range
     }
-    fn guaranteed_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
-        Some(self.max_range(tx, tx_pos))
+    fn link(&self, tx: TxId, tx_pos: Point) -> Link {
+        Link::disk(self.max_range(tx, tx_pos))
     }
 }
 
@@ -308,6 +308,53 @@ proptest! {
         for l in &lines[..lines.len() - 1] {
             prop_assert_eq!(l.len(), width);
             prop_assert!(l.is_ascii());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The row-run survey kernel, bit for bit against the point-major
+    /// oracle, on lattices wider than its column-hash cache (at a 0.1 m
+    /// step a noisy disk spans up to 451 columns and the lattice 241, so
+    /// every column hash is computed per point) as well as narrower ones,
+    /// under all three noise readings. The field mixes random beacons off
+    /// the lattice, one on a lattice point, and three on the terrain's
+    /// far edges, which lie beyond the lattice's last column and row
+    /// (24.05 m side: the last lattice line is at 24.0 m). The last
+    /// beacon is also added incrementally to a survey of the others.
+    #[test]
+    fn row_run_kernel_matches_point_major_oracle_past_the_column_cache(
+        n in 0usize..5, seed in any::<u64>(), range in 4.0..15.0f64, noise in 0.0..0.99f64,
+        step_ix in 0usize..3, style_ix in 0usize..3, ex in 0.0..24.05f64, ey in 0.0..24.05f64
+    ) {
+        use abp_radio::NoiseStyle;
+        let side = 24.05;
+        let step = [0.1, 0.35, 1.0][step_ix];
+        let terrain = Terrain::square(side);
+        let lattice = Lattice::new(terrain, step);
+        let mut field = BeaconField::random_uniform(n, terrain, &mut StdRng::seed_from_u64(seed));
+        field.add_beacon(Point::new((ex / step).floor() * step, (ey / step).floor() * step));
+        field.add_beacon(Point::new(side, ey));
+        field.add_beacon(Point::new(ex, side));
+        let without_corner = field.clone();
+        let corner_id = field.add_beacon(Point::new(side, side));
+        let corner = *field.get(corner_id).expect("just added");
+        let style =
+            [NoiseStyle::Speckled, NoiseStyle::Lossy, NoiseStyle::CoherentRadius][style_ix];
+        let model = PerBeaconNoise::with_style(range, noise, seed, style);
+        let policy = UnheardPolicy::TerrainCenter;
+        let oracle = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
+        let swept = ErrorMap::survey(&lattice, &field, &model, policy);
+        let mut incremental = ErrorMap::survey(&lattice, &without_corner, &model, policy);
+        incremental.add_beacon(&corner, &model);
+        for ix in lattice.indices() {
+            prop_assert_eq!(swept.heard_at(ix), oracle.heard_at(ix));
+            prop_assert_eq!(incremental.heard_at(ix), oracle.heard_at(ix));
+            let want = oracle.error_at(ix).map(f64::to_bits);
+            prop_assert_eq!(swept.error_at(ix).map(f64::to_bits), want);
+            prop_assert_eq!(incremental.error_at(ix).map(f64::to_bits), want);
         }
     }
 }

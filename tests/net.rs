@@ -9,7 +9,7 @@
 
 use abp_fault::{FaultPlan, MortalityPlan};
 use abp_net::{NetConfig, NetSim};
-use abp_radio::{IdealDisk, Propagation};
+use abp_radio::{IdealDisk, Link, Propagation};
 use abp_sim::SimConfig;
 use abp_survey::ErrorMap;
 
@@ -109,9 +109,9 @@ fn faulty_radio_composes_as_the_base_model() {
     );
 }
 
-/// The link-dropping wrappers outside `abp-radio` keep the default "no
-/// guaranteed range" even over a base model that has one, so the
-/// survey asks `connected` everywhere: a dead beacon sitting exactly on
+/// The link-dropping wrappers outside `abp-radio` keep the default link
+/// rule — no guaranteed core, ask `connected` — even over a base model
+/// that has a core, so the survey asks `connected` everywhere: a dead beacon sitting exactly on
 /// a lattice point (distance 0) stays unheard, and the message-counting
 /// oracle decides every link itself.
 #[test]
@@ -125,7 +125,7 @@ fn link_dropping_wrappers_offer_no_guaranteed_range() {
     let on_lattice = Point::new(20.0, 20.0);
     let field = BeaconField::from_positions(terrain, [on_lattice]);
     let b = field.beacons()[0];
-    assert_eq!(disk.guaranteed_range(b.tx(), b.pos()), Some(15.0));
+    assert_eq!(disk.link(b.tx(), b.pos()), Link::disk(15.0));
 
     let dead_plan = FaultPlan {
         mortality: Some(MortalityPlan {
@@ -136,9 +136,9 @@ fn link_dropping_wrappers_offer_no_guaranteed_range() {
         ..FaultPlan::none()
     };
     let dead = dead_plan.compile(3).wrap(disk, 0);
-    assert_eq!(dead.guaranteed_range(b.tx(), b.pos()), None);
+    assert_eq!(dead.link(b.tx(), b.pos()), Link::ASK);
     let healthy = FaultPlan::none().compile(3).wrap(disk, 0);
-    assert_eq!(healthy.guaranteed_range(b.tx(), b.pos()), None);
+    assert_eq!(healthy.link(b.tx(), b.pos()), Link::ASK);
 
     let lattice = Lattice::new(terrain, 2.0);
     let map = ErrorMap::survey(&lattice, &field, &dead, UnheardPolicy::TerrainCenter);
@@ -151,5 +151,5 @@ fn link_dropping_wrappers_offer_no_guaranteed_range() {
 
     let run = NetSim::run(&field, &disk, &NetConfig::always_on(), 3);
     let oracle = run.oracle(&disk);
-    assert_eq!(oracle.guaranteed_range(b.tx(), b.pos()), None);
+    assert_eq!(oracle.link(b.tx(), b.pos()), Link::ASK);
 }
